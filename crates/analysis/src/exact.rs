@@ -21,8 +21,10 @@
 //! only where two visit affines cross or where one crosses the
 //! horizon.
 
+use std::sync::{Mutex, PoisonError};
+
 use faultline_core::coverage::{prefer_argmax, Fleet};
-use faultline_core::exact::{all_visit_cover, first_visit_cover, mirrored, Affine, WindowCover};
+use faultline_core::exact::{all_visit_cover, all_visit_cover_on, Affine, Side, WindowCover};
 use faultline_core::{Error, Geometry, Interval, Result};
 
 /// Exponent of the pressure's generalized mean: high enough that only
@@ -65,6 +67,73 @@ struct SideScan {
     critical_points: usize,
 }
 
+impl SideScan {
+    /// The accumulator of a side without a window (the half-line's
+    /// negative side): no candidates, no uncovered intervals and no
+    /// critical points.
+    fn empty() -> SideScan {
+        SideScan {
+            best: None,
+            uncovered: 0,
+            uncovered_x: None,
+            interval_sups: Vec::new(),
+            critical_points: 0,
+        }
+    }
+
+    /// A fresh accumulator for `cover`. When no trajectory reaches past
+    /// the window, the right-hand limit at its edge is unprobed, so the
+    /// edge counts as uncovered.
+    fn for_cover(cover: &WindowCover) -> SideScan {
+        let mut side = SideScan {
+            interval_sups: Vec::with_capacity(cover.intervals().len()),
+            critical_points: cover.cuts().len(),
+            ..SideScan::empty()
+        };
+        if cover.beyond().is_none() {
+            side.mark_uncovered(cover.cuts()[cover.cuts().len() - 1]);
+        }
+        side
+    }
+
+    fn mark_uncovered(&mut self, x: f64) {
+        self.uncovered += 1;
+        if self.uncovered_x.is_none_or(|u| x < u) {
+            self.uncovered_x = Some(x);
+        }
+    }
+
+    /// Records one covered interval's supremum `(ratio, x)`.
+    fn record(&mut self, best: (f64, f64)) {
+        self.interval_sups.push(best.0);
+        let replace = match self.best {
+            None => true,
+            Some((br, bx)) => best.0 > br || (best.0 == br && prefer_argmax(best.1, bx)),
+        };
+        if replace {
+            self.best = Some(best);
+        }
+    }
+}
+
+/// The larger of the two sides' suprema, the negative one already in
+/// signed coordinates (ties go to [`prefer_argmax`]); `(0, 0)` when
+/// neither side has a covered interval.
+fn pick_best(pos: Option<(f64, f64)>, neg: Option<(f64, f64)>) -> (f64, f64) {
+    match (pos, neg) {
+        (Some((pr, px)), Some((nr, nx))) => {
+            if nr > pr || (nr == pr && prefer_argmax(nx, px)) {
+                (nr, nx)
+            } else {
+                (pr, px)
+            }
+        }
+        (Some(p), None) => p,
+        (None, Some(n)) => n,
+        (None, None) => (0.0, 0.0),
+    }
+}
+
 fn merge_sides(pos: SideScan, neg: SideScan) -> ExactScan {
     let critical_points = pos.critical_points + neg.critical_points;
     let uncovered = pos.uncovered + neg.uncovered;
@@ -92,18 +161,7 @@ fn merge_sides(pos: SideScan, neg: SideScan) -> ExactScan {
             pressure: 1.0,
         };
     }
-    let (ratio, argmax) = match (pos.best, neg_best) {
-        (Some((pr, px)), Some((nr, nx))) => {
-            if nr > pr || (nr == pr && prefer_argmax(nx, px)) {
-                (nr, nx)
-            } else {
-                (pr, px)
-            }
-        }
-        (Some(p), None) => p,
-        (None, Some(n)) => n,
-        (None, None) => (0.0, 0.0),
-    };
+    let (ratio, argmax) = pick_best(pos.best, neg_best);
     let pressure = if ratio.is_finite() && ratio > 0.0 {
         let sups = pos.interval_sups.iter().chain(&neg.interval_sups);
         let count = pos.interval_sups.len() + neg.interval_sups.len();
@@ -140,49 +198,97 @@ fn best_over_candidates(
     best
 }
 
+/// Slack factor `1 + c·ε` (`c = 4`) on the pruning threshold of
+/// [`push_crossings`]; its soundness proof needs `c >= 2`.
+const PRUNE_SLACK: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+/// The intercept gap above which a pair of slope difference at most
+/// `width` cannot cross inside a window of reach `reach` (see
+/// [`push_crossings`]).
+fn prune_threshold(reach: f64, width: f64) -> f64 {
+    (reach * width * PRUNE_SLACK).max(f64::MIN_POSITIVE)
+}
+
 /// Pushes the pairwise crossings of `affines` that fall strictly
-/// inside `(lo, hi)` onto `candidates`.
+/// inside `(lo, hi)` onto `candidates`, in pair order `(i, j)`,
+/// `i < j` — the same values in the same order as testing every pair
+/// with [`Affine::crossing`], without testing every pair.
+///
+/// **Pruning bound.** Let `R = max(|lo|, |hi|)`, `K = 1 + 4ε` (the
+/// slack factor), and `T(W) = max(fl(fl(R·W)·K), MIN_POSITIVE)`. A
+/// pair whose slopes differ by at most `W` in `f64` and whose intercept
+/// gap `G = |fl(b_j − b_i)|` exceeds `T(W)` cannot cross inside
+/// `(lo, hi)`. The crossing computes `fl(±G / ds)` with
+/// `0 < |ds| = |fl(s_i − s_j)| <= W` (a zero `ds` yields no crossing).
+/// With unit roundoff `u`, either `R·W < MIN_POSITIVE < G`, or
+/// `T(W) >= R·W·K·(1−u)² >= R·W` because `ε = 2u`; both give
+/// `G / |ds| >= G / W > R`, so the rounded quotient has magnitude
+/// `>= R` (rounding is monotone and `R` is a double) and lies outside
+/// `(lo, hi) ⊆ (−R, R)`.
+///
+/// **Sweep.** The affines form one slope class of width
+/// `W = fl(s_max − s_min)`; with `W = 0` they are all parallel and
+/// nothing crosses. They are sorted by intercept, and each is paired
+/// only with the following ones up to a gap of `T(W)`; gaps only grow
+/// along the sorted order. Within that band a pair is skipped when its gap
+/// exceeds `T` of its own slope difference, and every other pair is
+/// tested with the unchanged [`Affine::crossing`]. The crossings found
+/// are emitted in pair order. For a unit-speed fleet's first visits
+/// (slopes `1` up to a few ulps) the band is a few ulps of `R` wide and
+/// nearly every interval tests no pair at all. With a non-finite bound
+/// or coefficient no pair is skipped.
 pub fn push_crossings(affines: &[Affine], lo: f64, hi: f64, candidates: &mut Vec<f64>) {
-    for (i, a) in affines.iter().enumerate() {
-        for b in &affines[i + 1..] {
+    if affines.len() < 2 || !(lo < hi) {
+        return; // no x satisfies lo < x < hi
+    }
+    let reach = lo.abs().max(hi.abs());
+    let (mut s_min, mut s_max, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, reach.is_finite());
+    for a in affines {
+        s_min = s_min.min(a.slope);
+        s_max = s_max.max(a.slope);
+        finite &= a.slope.is_finite() && a.intercept.is_finite();
+    }
+    let band = if finite { prune_threshold(reach, s_max - s_min) } else { f64::INFINITY };
+    if finite && s_max == s_min {
+        return; // all parallel
+    }
+    let mut order: Vec<(f64, u32)> =
+        affines.iter().enumerate().map(|(i, a)| (a.intercept, i as u32)).collect();
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut hits: Vec<(u32, u32, f64)> = Vec::new();
+    for (p, &(base, first)) in order.iter().enumerate() {
+        for &(intercept, second) in &order[p + 1..] {
+            let gap = intercept - base;
+            if gap > band {
+                break;
+            }
+            let (i, j) = (first.min(second), first.max(second));
+            let (a, b) = (&affines[i as usize], &affines[j as usize]);
+            if finite && gap > prune_threshold(reach, (a.slope - b.slope).abs()) {
+                continue;
+            }
             if let Some(x) = a.crossing(b) {
                 if x > lo && x < hi {
-                    candidates.push(x);
+                    hits.push((i, j, x));
                 }
             }
         }
     }
+    hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
+    candidates.extend(hits.iter().map(|&(_, _, x)| x));
 }
 
 /// Scans one side: the supremum of `T_k(x) / x` over `[1, xmax]`
 /// including the right-hand limit at `xmax` (the beyond-window
 /// interval evaluated at its lower endpoint).
 fn scan_side_worst_case(cover: &WindowCover, k: usize) -> SideScan {
-    let mut side = SideScan {
-        best: None,
-        uncovered: 0,
-        uncovered_x: None,
-        interval_sups: Vec::with_capacity(cover.intervals().len()),
-        critical_points: cover.cuts().len(),
-    };
-    let mark_uncovered = |side: &mut SideScan, x: f64| {
-        side.uncovered += 1;
-        if side.uncovered_x.is_none_or(|u| x < u) {
-            side.uncovered_x = Some(x);
-        }
-    };
-    if cover.beyond().is_none() {
-        // No trajectory reaches past the window: the right-hand limit
-        // at xmax is unprobed, so the window edge counts as uncovered.
-        let hi = cover.cuts()[cover.cuts().len() - 1];
-        mark_uncovered(&mut side, hi);
-    }
+    let mut side = SideScan::for_cover(cover);
     let mut candidates: Vec<f64> = Vec::new();
     let mut times: Vec<f64> = Vec::new();
     for (i, affines) in cover.intervals().iter().enumerate() {
         let (lo, hi) = cover.interval_bounds(i);
         if affines.len() < k {
-            mark_uncovered(&mut side, lo);
+            side.mark_uncovered(lo);
             continue;
         }
         candidates.clear();
@@ -197,20 +303,58 @@ fn scan_side_worst_case(cover: &WindowCover, k: usize) -> SideScan {
         let best = best_over_candidates(&candidates, |x| {
             times.clear();
             times.extend(affines.iter().map(|a| a.eval(x)));
-            times.sort_by(f64::total_cmp);
-            Some(times[k - 1])
+            Some(kth_smallest(&mut times, k))
         })
         .expect("worst-case evaluation is total over covered intervals");
-        side.interval_sups.push(best.0);
-        let replace = match side.best {
-            None => true,
-            Some((br, bx)) => best.0 > br || (best.0 == br && prefer_argmax(best.1, bx)),
-        };
-        if replace {
-            side.best = Some(best);
-        }
+        side.record(best);
     }
     side
+}
+
+/// The k-th smallest value under [`f64::total_cmp`], by selection
+/// rather than a full sort. Values equal under the total order have
+/// identical bits, so this is bit-identical to `sorted[k - 1]`.
+fn kth_smallest(values: &mut [f64], k: usize) -> f64 {
+    *values.select_nth_unstable_by(k - 1, f64::total_cmp).1
+}
+
+fn check_worst_case_inputs(k: usize, xmax: f64) -> Result<()> {
+    if k == 0 {
+        return Err(Error::domain("exact supremum needs a visit count k >= 1"));
+    }
+    check_window(xmax)
+}
+
+fn check_window(xmax: f64) -> Result<()> {
+    if !(xmax > 1.0) || !xmax.is_finite() {
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+    }
+    Ok(())
+}
+
+/// Spare cover pairs for the worst-case scans, rebuilt in place on
+/// every call and handed back afterwards: the optimizer evaluates tens
+/// of thousands of fleets, and the query service computes each request
+/// on a fresh thread, so a process-wide free list (one pair per
+/// concurrent scan) keeps their arrays from being allocated and freed
+/// per call. Pairs past [`SPARE_COVER_ITEMS`] are not kept.
+static SPARE_COVERS: Mutex<Vec<[WindowCover; 2]>> = Mutex::new(Vec::new());
+
+/// The most affines a kept spare cover may hold (1 MiB of them).
+const SPARE_COVER_ITEMS: usize = 1 << 16;
+
+/// Runs `scan` on a spare cover pair (see [`SPARE_COVERS`]).
+fn with_spare_covers<R>(scan: impl FnOnce(&mut [WindowCover; 2]) -> R) -> R {
+    // Every update of the list is one whole push or pop, so a panic
+    // elsewhere never leaves it invalid: a poisoned lock is still safe
+    // to use.
+    let spare = || SPARE_COVERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut covers = spare().pop().unwrap_or_default();
+    let result = scan(&mut covers);
+    if covers.iter().all(|c| c.intervals().item_count() <= SPARE_COVER_ITEMS) {
+        spare().push(covers);
+    }
+    result
 }
 
 /// The exact supremum of `K(x) = T_k(x) / |x|` over
@@ -228,8 +372,8 @@ pub fn exact_supremum(fleet: &Fleet, k: usize, xmax: f64) -> Result<ExactScan> {
 
 /// Geometry-parametric variant of [`exact_supremum`]: on
 /// [`Geometry::HalfLine`] only the positive window `[1, xmax]` exists,
-/// so the mirrored negative-side cover is skipped entirely and the
-/// scan's critical-point count halves. [`Geometry::Line`] reproduces
+/// so the negative-side cover is skipped entirely and the scan's
+/// critical-point count halves. [`Geometry::Line`] reproduces
 /// [`exact_supremum`] bit for bit.
 ///
 /// # Errors
@@ -241,28 +385,17 @@ pub fn exact_supremum_geometry(
     xmax: f64,
     geometry: Geometry,
 ) -> Result<ExactScan> {
-    if k == 0 {
-        return Err(Error::domain("exact supremum needs a visit count k >= 1"));
-    }
-    if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
-    }
-    let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = if geometry.has_negative_side() {
-        scan_side_worst_case(&first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?, k)
-    } else {
-        // The half-line has no negative side: an empty accumulator
-        // contributes no candidates, no uncovered intervals, and no
-        // critical points to the merge.
-        SideScan {
-            best: None,
-            uncovered: 0,
-            uncovered_x: None,
-            interval_sups: Vec::new(),
-            critical_points: 0,
-        }
-    };
-    Ok(merge_sides(scan_side_worst_case(&pos, k), neg))
+    check_worst_case_inputs(k, xmax)?;
+    with_spare_covers(|[pos, neg]| {
+        pos.refill_first_visit(fleet.trajectories(), Side::Positive, 1.0, xmax)?;
+        let neg = if geometry.has_negative_side() {
+            neg.refill_first_visit(fleet.trajectories(), Side::Negative, 1.0, xmax)?;
+            scan_side_worst_case(neg, k)
+        } else {
+            SideScan::empty()
+        };
+        Ok(merge_sides(scan_side_worst_case(pos, k), neg))
+    })
 }
 
 /// An [`ExactScan`] paired with a certified enclosure of its
@@ -281,7 +414,7 @@ pub struct EnclosedScan {
 /// at `x`. Order statistics are monotone under pointwise ordering, so
 /// the k-th smallest lower bound and the k-th smallest upper bound
 /// bracket both the k-th smallest `f64` evaluation (what the scan
-/// sorts) and the k-th smallest real value.
+/// selects) and the k-th smallest real value.
 fn kth_time_enclosure(
     affines: &[Affine],
     k: usize,
@@ -296,14 +429,13 @@ fn kth_time_enclosure(
         los.push(t.lo());
         his.push(t.hi());
     }
-    los.sort_by(f64::total_cmp);
-    his.sort_by(f64::total_cmp);
-    Interval::new(los[k - 1], his[k - 1])
+    Interval::new(kth_smallest(los, k), kth_smallest(his, k))
 }
 
 /// Enclosure of `T_k(x) / x` at a point candidate, mirroring the scan
-/// engine's operation order (sort times, then one division) so the
-/// result contains the engine's `f64` evaluation at the same `x`.
+/// engine's operation order (select the k-th time, then one division)
+/// so the result contains the engine's `f64` evaluation at the same
+/// `x`.
 fn kth_ratio_enclosure_at(
     affines: &[Affine],
     k: usize,
@@ -330,9 +462,7 @@ fn kth_ratio_enclosure_over(
         los.push(g.lo());
         his.push(g.hi());
     }
-    los.sort_by(f64::total_cmp);
-    his.sort_by(f64::total_cmp);
-    Interval::new(los[k - 1], his[k - 1])
+    Interval::new(kth_smallest(los, k), kth_smallest(his, k))
 }
 
 /// One side's supremum enclosure: `lo` comes only from point
@@ -409,24 +539,31 @@ fn scan_side_enclosure(cover: &WindowCover, k: usize) -> Result<(f64, f64)> {
 /// Beyond [`exact_supremum`]'s validation, errors when the scan is
 /// uncovered: an unbounded supremum has no finite enclosure.
 pub fn exact_supremum_enclosed(fleet: &Fleet, k: usize, xmax: f64) -> Result<EnclosedScan> {
-    let scan = exact_supremum(fleet, k, xmax)?;
-    if scan.uncovered > 0 || !scan.ratio.is_finite() {
-        return Err(Error::domain("cannot enclose an uncovered supremum: the ratio is unbounded"));
-    }
-    let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
-    let (plo, phi) = scan_side_enclosure(&pos, k)?;
-    let (nlo, nhi) = scan_side_enclosure(&neg, k)?;
-    let enclosure = Interval::new(plo.max(nlo), phi.max(nhi))?;
-    if !enclosure.contains(scan.ratio) {
-        return Err(Error::numerical(format!(
-            "supremum enclosure [{}, {}] lost the scan value {}",
-            enclosure.lo(),
-            enclosure.hi(),
-            scan.ratio
-        )));
-    }
-    Ok(EnclosedScan { scan, enclosure })
+    check_worst_case_inputs(k, xmax)?;
+    // One pair of covers serves both the scan (bit-identical to
+    // `exact_supremum`) and the enclosure.
+    with_spare_covers(|[pos, neg]| {
+        pos.refill_first_visit(fleet.trajectories(), Side::Positive, 1.0, xmax)?;
+        neg.refill_first_visit(fleet.trajectories(), Side::Negative, 1.0, xmax)?;
+        let scan = merge_sides(scan_side_worst_case(pos, k), scan_side_worst_case(neg, k));
+        if scan.uncovered > 0 || !scan.ratio.is_finite() {
+            return Err(Error::domain(
+                "cannot enclose an uncovered supremum: the ratio is unbounded",
+            ));
+        }
+        let (plo, phi) = scan_side_enclosure(pos, k)?;
+        let (nlo, nhi) = scan_side_enclosure(neg, k)?;
+        let enclosure = Interval::new(plo.max(nlo), phi.max(nhi))?;
+        if !enclosure.contains(scan.ratio) {
+            return Err(Error::numerical(format!(
+                "supremum enclosure [{}, {}] lost the scan value {}",
+                enclosure.lo(),
+                enclosure.hi(),
+                scan.ratio
+            )));
+        }
+        Ok(EnclosedScan { scan, enclosure })
+    })
 }
 
 /// Evaluates the p-faulty expected cost at position `x` from the
@@ -459,29 +596,13 @@ fn expected_value_at(
 /// Scans one side of the expected-cost supremum: candidates are the
 /// interval endpoints, pairwise crossings, and horizon crossings.
 fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
-    let mut side = SideScan {
-        best: None,
-        uncovered: 0,
-        uncovered_x: None,
-        interval_sups: Vec::with_capacity(cover.intervals().len()),
-        critical_points: cover.cuts().len(),
-    };
-    let mark_uncovered = |side: &mut SideScan, x: f64| {
-        side.uncovered += 1;
-        if side.uncovered_x.is_none_or(|u| x < u) {
-            side.uncovered_x = Some(x);
-        }
-    };
-    if cover.beyond().is_none() {
-        let hi = cover.cuts()[cover.cuts().len() - 1];
-        mark_uncovered(&mut side, hi);
-    }
+    let mut side = SideScan::for_cover(cover);
     let mut candidates: Vec<f64> = Vec::new();
     let mut times: Vec<f64> = Vec::new();
     for (i, affines) in cover.intervals().iter().enumerate() {
         let (lo, hi) = cover.interval_bounds(i);
         if affines.is_empty() {
-            mark_uncovered(&mut side, lo);
+            side.mark_uncovered(lo);
             continue;
         }
         candidates.clear();
@@ -500,17 +621,8 @@ fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
         match best_over_candidates(&candidates, |x| {
             expected_value_at(affines, x, p, horizon, &mut times)
         }) {
-            Some(best) => {
-                side.interval_sups.push(best.0);
-                let replace = match side.best {
-                    None => true,
-                    Some((br, bx)) => best.0 > br || (best.0 == br && prefer_argmax(best.1, bx)),
-                };
-                if replace {
-                    side.best = Some(best);
-                }
-            }
-            None => mark_uncovered(&mut side, lo),
+            Some(best) => side.record(best),
+            None => side.mark_uncovered(lo),
         }
     }
     side
@@ -532,33 +644,20 @@ pub fn exact_expected_supremum(fleet: &Fleet, p: f64, xmax: f64) -> Result<Exact
     if !(0.0..=1.0).contains(&p) {
         return Err(Error::domain(format!("detection probability must be in [0, 1], got {p}")));
     }
-    if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
-    }
+    check_window(xmax)?;
     let horizon = fleet.horizon();
     let pos = all_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = all_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
-    let merged =
-        merge_sides(scan_side_expected(&pos, p, horizon), scan_side_expected(&neg, p, horizon));
+    let neg = all_visit_cover_on(fleet.trajectories(), Side::Negative, 1.0, xmax)?;
+    let pos = scan_side_expected(&pos, p, horizon);
+    let neg = scan_side_expected(&neg, p, horizon);
+    let (pos_best, neg_best) = (pos.best, neg.best.map(|(r, x)| (r, -x)));
+    let merged = merge_sides(pos, neg);
     if merged.uncovered > 0 {
         // Expected cost truncates at the horizon, so even an
         // incomplete measurement reports the finite supremum over the
         // covered intervals (0 when nothing is covered), matching the
         // historical grid semantics.
-        let pos_scan = scan_side_expected(&pos, p, horizon);
-        let neg_scan = scan_side_expected(&neg, p, horizon);
-        let (ratio, argmax) = match (pos_scan.best, neg_scan.best.map(|(r, x)| (r, -x))) {
-            (Some((pr, px)), Some((nr, nx))) => {
-                if nr > pr || (nr == pr && prefer_argmax(nx, px)) {
-                    (nr, nx)
-                } else {
-                    (pr, px)
-                }
-            }
-            (Some(p), None) => p,
-            (None, Some(n)) => n,
-            (None, None) => (0.0, 0.0),
-        };
+        let (ratio, argmax) = pick_best(pos_best, neg_best);
         return Ok(ExactScan { ratio, argmax, ..merged });
     }
     Ok(merged)

@@ -13,7 +13,8 @@
 //! finite, exact candidate set that replaces dense grid scans.
 //!
 //! The window `[lo, hi]` is one-sided (positive positions); callers
-//! handle the negative half-line by [`mirrored`] trajectories. Beyond
+//! handle the negative half-line with [`Side::Negative`] covers, which
+//! read the trajectories reflected (`x -> -x`) as they go. Beyond
 //! `hi`, one extra interval `(hi, beyond)` is tracked, where `beyond`
 //! is the smallest waypoint projection strictly past `hi`: evaluating
 //! its affines *at* `hi` yields the exact right-hand limit of the visit
@@ -22,7 +23,7 @@
 
 use crate::error::{Error, Result};
 use crate::interval::Interval;
-use crate::spacetime::SpaceTime;
+use crate::spacetime::{Segment, SpaceTime};
 use crate::trajectory::PiecewiseTrajectory;
 
 /// A visit-time function `t(x) = slope * x + intercept`, valid for
@@ -120,40 +121,119 @@ impl Affine {
     }
 }
 
-/// The exact piecewise-affine structure of a fleet's visit times over
-/// a positive window `[lo, hi]`, produced by [`first_visit_cover`] or
-/// [`all_visit_cover`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowCover {
-    /// Sorted, deduplicated critical points within `[lo, hi]`,
-    /// including both window endpoints.
-    cuts: Vec<f64>,
-    /// The smallest waypoint projection strictly beyond `hi`, if any
-    /// robot's trajectory reaches past the window.
-    beyond: Option<f64>,
-    /// `intervals[i]` holds the affines valid on the open interval
-    /// `(cuts[i], cuts[i+1])`; when `beyond` is present a final entry
-    /// covers `(hi, beyond)`.
-    intervals: Vec<Vec<Affine>>,
+/// Which half of the line a cover describes. Covers always work in
+/// positive-window coordinates: [`Side::Negative`] reads every waypoint
+/// position as `-x` while building. Negation is exact in `f64`, and the
+/// slopes and intercepts then come from the same operations on the same
+/// operands a [`mirrored`] fleet would give, so the negative-side cover
+/// equals the positive cover of [`mirrored`] trajectories bit for bit —
+/// without allocating or re-validating a mirrored fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The positive half-line, read as is.
+    Positive,
+    /// The negative half-line, reflected onto the positive one.
+    Negative,
 }
 
-impl WindowCover {
+impl Side {
+    fn read(self, w: SpaceTime) -> SpaceTime {
+        match self {
+            Side::Positive => w,
+            Side::Negative => SpaceTime { x: -w.x, t: w.t },
+        }
+    }
+}
+
+/// Per-interval item sets in compressed-sparse-row form: one offset
+/// array and one item array back every interval's set, so building a
+/// cover allocates once per array instead of once per interval.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Csr<T> {
+    /// `items[offsets[i]..offsets[i + 1]]` is row `i`.
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of items over all rows.
+    #[must_use]
+    pub fn item_count(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The rows, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
+        self.offsets.windows(2).map(|w| &self.items[w[0]..w[1]])
+    }
+}
+
+impl<T> std::ops::Index<usize> for Csr<T> {
+    type Output = [T];
+
+    fn index(&self, i: usize) -> &[T] {
+        &self.items[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// The exact piecewise-affine structure of a fleet's visit times over
+/// a positive window `[lo, hi]`, with per-interval items `T`: bare
+/// affines ([`WindowCover`]) or robot-tagged ones ([`AttributedCover`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cover<T> {
+    /// Sorted, deduplicated critical points within `[lo, hi]`,
+    /// including both window endpoints, followed by the smallest
+    /// waypoint projection strictly beyond `hi` when some robot's
+    /// trajectory reaches past the window.
+    boundaries: Vec<f64>,
+    /// Whether `boundaries` ends with that beyond-window projection.
+    has_beyond: bool,
+    /// Row `i` holds the items valid on the open interval
+    /// `(boundaries[i], boundaries[i+1])`; with a beyond-window
+    /// projection the final row covers `(hi, beyond)`.
+    intervals: Csr<T>,
+}
+
+/// A cover of bare affines, produced by [`first_visit_cover`] or
+/// [`all_visit_cover`].
+pub type WindowCover = Cover<Affine>;
+
+/// A cover whose affines carry the index of the robot that contributes
+/// them — the form the fault-space exploration engine needs to restrict
+/// an interval's visit structure to a fault mask's reliable sub-fleet
+/// without rebuilding covers per mask. Produced by
+/// [`attributed_first_visit_cover`].
+pub type AttributedCover = Cover<(u32, Affine)>;
+
+impl<T> Cover<T> {
     /// The critical points within the window, endpoints included.
     #[must_use]
     pub fn cuts(&self) -> &[f64] {
-        &self.cuts
+        &self.boundaries[..self.boundaries.len() - usize::from(self.has_beyond)]
     }
 
     /// The first waypoint projection strictly beyond the window, if
     /// any trajectory reaches past `hi`.
     #[must_use]
     pub fn beyond(&self) -> Option<f64> {
-        self.beyond
+        self.has_beyond.then(|| self.boundaries[self.boundaries.len() - 1])
     }
 
-    /// Per-interval affine sets (see the struct docs for the layout).
+    /// Per-interval item sets (see the struct docs for the layout).
     #[must_use]
-    pub fn intervals(&self) -> &[Vec<Affine>] {
+    pub fn intervals(&self) -> &Csr<T> {
         &self.intervals
     }
 
@@ -162,7 +242,7 @@ impl WindowCover {
     /// right-hand limit at the window edge).
     #[must_use]
     pub fn is_beyond(&self, i: usize) -> bool {
-        self.beyond.is_some() && i + 1 == self.intervals.len()
+        self.has_beyond && i + 1 == self.intervals.len()
     }
 
     /// The open bounds `(lo_i, hi_i)` of interval `i`.
@@ -172,40 +252,72 @@ impl WindowCover {
     /// Panics when `i` is out of range.
     #[must_use]
     pub fn interval_bounds(&self, i: usize) -> (f64, f64) {
-        if self.is_beyond(i) {
-            (self.cuts[self.cuts.len() - 1], self.beyond.expect("beyond interval exists"))
-        } else {
-            (self.cuts[i], self.cuts[i + 1])
+        (self.boundaries[i], self.boundaries[i + 1])
+    }
+}
+
+/// An empty cover (no boundaries, no intervals): the starting point
+/// for [`WindowCover::refill_first_visit`].
+impl<T> Default for Cover<T> {
+    fn default() -> Self {
+        Cover {
+            boundaries: Vec::new(),
+            has_beyond: false,
+            intervals: Csr { offsets: vec![0], items: Vec::new() },
         }
     }
 }
 
-/// Collects the cut set and the extended interval boundary list for a
-/// window: waypoint projections inside `(lo, hi)`, the endpoints, and
-/// the first projection strictly beyond `hi`.
-fn collect_cuts(
+impl WindowCover {
+    /// Rebuilds this cover in place into what [`first_visit_cover_on`]
+    /// returns for the same arguments, reusing its arrays — for callers
+    /// that build covers over and over, such as an optimizer's
+    /// objective. On error the cover is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`first_visit_cover`].
+    pub fn refill_first_visit(
+        &mut self,
+        trajectories: &[PiecewiseTrajectory],
+        side: Side,
+        lo: f64,
+        hi: f64,
+    ) -> Result<()> {
+        fill_cover(self, trajectories, side, lo, hi, Visits::First, |_, affine| affine)
+    }
+}
+
+/// Fills `boundaries` with the interval boundary list for a window:
+/// waypoint projections inside `(lo, hi)` and the endpoints, sorted and
+/// deduplicated, then the first projection strictly beyond `hi` if any.
+/// Returns whether that beyond-window projection is present.
+fn collect_boundaries(
+    boundaries: &mut Vec<f64>,
     trajectories: &[PiecewiseTrajectory],
+    side: Side,
     lo: f64,
     hi: f64,
-) -> (Vec<f64>, Option<f64>, Vec<f64>) {
-    let mut cuts = vec![lo, hi];
+) -> bool {
+    boundaries.clear();
+    boundaries.extend([lo, hi]);
     let mut beyond: Option<f64> = None;
     for traj in trajectories {
         for w in traj.waypoints() {
-            if w.x > lo && w.x < hi {
-                cuts.push(w.x);
-            } else if w.x > hi {
-                beyond = Some(beyond.map_or(w.x, |b| b.min(w.x)));
+            let x = side.read(*w).x;
+            if x > lo && x < hi {
+                boundaries.push(x);
+            } else if x > hi {
+                beyond = Some(beyond.map_or(x, |b| b.min(x)));
             }
         }
     }
-    cuts.sort_by(f64::total_cmp);
-    cuts.dedup();
-    let mut boundaries = cuts.clone();
-    if let Some(b) = beyond {
-        boundaries.push(b);
-    }
-    (cuts, beyond, boundaries)
+    // Every cut is positive (`lo > 0`), where the bit patterns order
+    // exactly like `f64::total_cmp`; equal bits are equal values.
+    boundaries.sort_unstable_by_key(|c| c.to_bits());
+    boundaries.dedup();
+    boundaries.extend(beyond);
+    beyond.is_some()
 }
 
 fn validate_window(trajectories: &[PiecewiseTrajectory], lo: f64, hi: f64) -> Result<()> {
@@ -249,6 +361,139 @@ fn find_unfilled(next: &mut [u32], j: usize) -> usize {
     root
 }
 
+/// Which covering segments a cover keeps per robot and interval.
+#[derive(Clone, Copy, PartialEq)]
+enum Visits {
+    /// Only the earliest (in time order) covering segment.
+    First,
+    /// Every covering segment, in time order.
+    All,
+}
+
+/// The interval-index range `[start, end)` a segment covers, read on
+/// `side` against the sorted boundary list; empty (`start >= end`) for
+/// a stationary segment or one outside the boundaries.
+fn segment_span(boundaries: &[f64], side: Side, seg: Segment) -> (usize, usize) {
+    let (a, b) = (side.read(seg.a), side.read(seg.b));
+    if a.x == b.x {
+        return (0, 0); // stationary: never covers an open interval
+    }
+    let (s_lo, s_hi) = if a.x < b.x { (a.x, b.x) } else { (b.x, a.x) };
+    if s_hi <= boundaries[0] || s_lo >= boundaries[boundaries.len() - 1] {
+        return (0, 0);
+    }
+    covered_range(boundaries, s_lo, s_hi)
+}
+
+/// The shared cover builder, filling `cover` in place (its arrays are
+/// reused) in two walks over every robot's segments (robot, then time
+/// order). The first records each segment's covered interval range and
+/// counts the items every interval receives — one per covering
+/// segment, or under [`Visits::First`] one per robot that covers it at
+/// all — which sizes the CSR rows exactly. The second fills the rows in
+/// walk order, so every row lists its items in robot order, then time
+/// order, exactly as per-interval pushes would.
+fn fill_cover<T: Copy>(
+    cover: &mut Cover<T>,
+    trajectories: &[PiecewiseTrajectory],
+    side: Side,
+    lo: f64,
+    hi: f64,
+    visits: Visits,
+    item: impl Fn(u32, Affine) -> T,
+) -> Result<()> {
+    validate_window(trajectories, lo, hi)?;
+    cover.has_beyond = collect_boundaries(&mut cover.boundaries, trajectories, side, lo, hi);
+    let boundaries = &cover.boundaries;
+    let m = boundaries.len() - 1;
+    // `depth` is a difference array of covering segments: one robot's
+    // under `Visits::First` (cleared after each robot), all of them
+    // under `Visits::All`. `offsets[j + 1]` first holds row j's length.
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let offsets = &mut cover.intervals.offsets;
+    offsets.clear();
+    offsets.resize(m + 1, 0);
+    let mut depth = vec![0i64; m + 1];
+    for traj in trajectories {
+        for seg in traj.segments() {
+            let (start, end) = segment_span(boundaries, side, seg);
+            spans.push((start, end));
+            if start < end {
+                depth[start] += 1;
+                depth[end] -= 1;
+            }
+        }
+        if visits == Visits::First {
+            let mut running = 0;
+            for j in 0..m {
+                running += depth[j];
+                depth[j] = 0;
+                offsets[j + 1] += usize::from(running > 0);
+            }
+            depth[m] = 0;
+        }
+    }
+    if visits == Visits::All {
+        let mut running = 0;
+        for j in 0..m {
+            running += depth[j];
+            offsets[j + 1] = running as usize;
+        }
+    }
+    for j in 0..m {
+        offsets[j + 1] += offsets[j];
+    }
+    let mut cursor = offsets[..m].to_vec();
+    let items = &mut cover.intervals.items;
+    items.clear();
+    items.resize(offsets[m], item(0, Affine { slope: 0.0, intercept: 0.0 }));
+    let mut spans = spans.into_iter();
+    let mut next: Vec<u32> = Vec::with_capacity(m + 1);
+    for (robot, traj) in trajectories.iter().enumerate() {
+        next.clear();
+        next.extend(0..=m as u32); // identity: everything unfilled
+        for seg in traj.segments() {
+            let (start, end) = spans.next().expect("one span per segment");
+            if start >= end {
+                continue;
+            }
+            let entry =
+                item(robot as u32, Affine::from_segment(side.read(seg.a), side.read(seg.b)));
+            let mut place = |j: usize| {
+                items[cursor[j]] = entry;
+                cursor[j] += 1;
+            };
+            match visits {
+                Visits::All => (start..end).for_each(place),
+                Visits::First => {
+                    let mut j = find_unfilled(&mut next, start);
+                    while j < end {
+                        place(j);
+                        next[j] = j as u32 + 1;
+                        j = find_unfilled(&mut next, j + 1);
+                    }
+                }
+            }
+        }
+    }
+    debug_assert!(cursor[..] == offsets[1..], "the fill walk places exactly the counted items");
+    Ok(())
+}
+
+/// [`fill_cover`] into a fresh cover.
+fn build_cover<T: Copy>(
+    trajectories: &[PiecewiseTrajectory],
+    side: Side,
+    lo: f64,
+    hi: f64,
+    visits: Visits,
+    item: impl Fn(u32, Affine) -> T,
+) -> Result<Cover<T>> {
+    let mut cover = Cover::default();
+    fill_cover(&mut cover, trajectories, side, lo, hi, visits, item)?;
+    Ok(cover)
+}
+
 /// Enumerates the critical points of a fleet over `[lo, hi]` and the
 /// *first-visit* affine of every robot on every inter-cut interval:
 /// per robot, the earliest (in time order) segment covering the
@@ -265,92 +510,23 @@ pub fn first_visit_cover(
     lo: f64,
     hi: f64,
 ) -> Result<WindowCover> {
-    validate_window(trajectories, lo, hi)?;
-    let (cuts, beyond, boundaries) = collect_cuts(trajectories, lo, hi);
-    let m = boundaries.len() - 1;
-    let mut intervals: Vec<Vec<Affine>> = vec![Vec::new(); m];
-    let mut next: Vec<u32> = Vec::with_capacity(m + 1);
-    for traj in trajectories {
-        next.clear();
-        next.extend(0..=m as u32); // identity: everything unfilled
-        for seg in traj.segments() {
-            if seg.a.x == seg.b.x {
-                continue; // stationary: never covers an open interval
-            }
-            let (s_lo, s_hi) =
-                if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
-            let (start, last) = covered_range(&boundaries, s_lo, s_hi);
-            if start >= last {
-                continue;
-            }
-            let affine = Affine::from_segment(seg.a, seg.b);
-            let mut j = find_unfilled(&mut next, start);
-            while j < last {
-                intervals[j].push(affine);
-                next[j] = j as u32 + 1;
-                j = find_unfilled(&mut next, j + 1);
-            }
-        }
-    }
-    Ok(WindowCover { cuts, beyond, intervals })
+    first_visit_cover_on(trajectories, Side::Positive, lo, hi)
 }
 
-/// A [`WindowCover`] whose affines carry the index of the robot that
-/// contributes them — the form the fault-space exploration engine
-/// needs to restrict an interval's visit structure to a fault mask's
-/// reliable sub-fleet without rebuilding covers per mask.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttributedCover {
-    /// Sorted, deduplicated critical points, window endpoints included
-    /// (identical to the unattributed cover's cuts).
-    cuts: Vec<f64>,
-    /// The smallest waypoint projection strictly beyond `hi`, if any.
-    beyond: Option<f64>,
-    /// `intervals[i]` holds `(robot, affine)` pairs valid on the open
-    /// interval `(cuts[i], cuts[i+1])`, in the same order as
-    /// [`first_visit_cover`] produces the bare affines.
-    intervals: Vec<Vec<(u32, Affine)>>,
-}
-
-impl AttributedCover {
-    /// The critical points within the window, endpoints included.
-    #[must_use]
-    pub fn cuts(&self) -> &[f64] {
-        &self.cuts
-    }
-
-    /// The first waypoint projection strictly beyond the window.
-    #[must_use]
-    pub fn beyond(&self) -> Option<f64> {
-        self.beyond
-    }
-
-    /// Per-interval `(robot, affine)` sets.
-    #[must_use]
-    pub fn intervals(&self) -> &[Vec<(u32, Affine)>] {
-        &self.intervals
-    }
-
-    /// Whether interval `i` is the beyond-window interval (see
-    /// [`WindowCover::is_beyond`]).
-    #[must_use]
-    pub fn is_beyond(&self, i: usize) -> bool {
-        self.beyond.is_some() && i + 1 == self.intervals.len()
-    }
-
-    /// The open bounds `(lo_i, hi_i)` of interval `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn interval_bounds(&self, i: usize) -> (f64, f64) {
-        if self.is_beyond(i) {
-            (self.cuts[self.cuts.len() - 1], self.beyond.expect("beyond interval exists"))
-        } else {
-            (self.cuts[i], self.cuts[i + 1])
-        }
-    }
+/// [`first_visit_cover`] of one [`Side`]: on [`Side::Negative`] the
+/// window `[lo, hi]` stands for `[-hi, -lo]`, and the result equals
+/// `first_visit_cover(&mirrored(trajectories)?, lo, hi)` bit for bit.
+///
+/// # Errors
+///
+/// Same contract as [`first_visit_cover`].
+pub fn first_visit_cover_on(
+    trajectories: &[PiecewiseTrajectory],
+    side: Side,
+    lo: f64,
+    hi: f64,
+) -> Result<WindowCover> {
+    build_cover(trajectories, side, lo, hi, Visits::First, |_, affine| affine)
 }
 
 /// [`first_visit_cover`] with robot attribution: identical cuts,
@@ -368,34 +544,22 @@ pub fn attributed_first_visit_cover(
     lo: f64,
     hi: f64,
 ) -> Result<AttributedCover> {
-    validate_window(trajectories, lo, hi)?;
-    let (cuts, beyond, boundaries) = collect_cuts(trajectories, lo, hi);
-    let m = boundaries.len() - 1;
-    let mut intervals: Vec<Vec<(u32, Affine)>> = vec![Vec::new(); m];
-    let mut next: Vec<u32> = Vec::with_capacity(m + 1);
-    for (robot, traj) in trajectories.iter().enumerate() {
-        next.clear();
-        next.extend(0..=m as u32); // identity: everything unfilled
-        for seg in traj.segments() {
-            if seg.a.x == seg.b.x {
-                continue; // stationary: never covers an open interval
-            }
-            let (s_lo, s_hi) =
-                if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
-            let (start, last) = covered_range(&boundaries, s_lo, s_hi);
-            if start >= last {
-                continue;
-            }
-            let affine = Affine::from_segment(seg.a, seg.b);
-            let mut j = find_unfilled(&mut next, start);
-            while j < last {
-                intervals[j].push((robot as u32, affine));
-                next[j] = j as u32 + 1;
-                j = find_unfilled(&mut next, j + 1);
-            }
-        }
-    }
-    Ok(AttributedCover { cuts, beyond, intervals })
+    attributed_first_visit_cover_on(trajectories, Side::Positive, lo, hi)
+}
+
+/// [`attributed_first_visit_cover`] of one [`Side`] (see
+/// [`first_visit_cover_on`]).
+///
+/// # Errors
+///
+/// Same contract as [`first_visit_cover`].
+pub fn attributed_first_visit_cover_on(
+    trajectories: &[PiecewiseTrajectory],
+    side: Side,
+    lo: f64,
+    hi: f64,
+) -> Result<AttributedCover> {
+    build_cover(trajectories, side, lo, hi, Visits::First, |robot, affine| (robot, affine))
 }
 
 /// Like [`first_visit_cover`], but collects *every* covering segment's
@@ -411,28 +575,21 @@ pub fn all_visit_cover(
     lo: f64,
     hi: f64,
 ) -> Result<WindowCover> {
-    validate_window(trajectories, lo, hi)?;
-    let (cuts, beyond, boundaries) = collect_cuts(trajectories, lo, hi);
-    let m = boundaries.len() - 1;
-    let mut intervals: Vec<Vec<Affine>> = vec![Vec::new(); m];
-    for traj in trajectories {
-        for seg in traj.segments() {
-            if seg.a.x == seg.b.x {
-                continue;
-            }
-            let (s_lo, s_hi) =
-                if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
-            let (start, last) = covered_range(&boundaries, s_lo, s_hi);
-            if start >= last {
-                continue;
-            }
-            let affine = Affine::from_segment(seg.a, seg.b);
-            for interval in intervals.iter_mut().take(last).skip(start) {
-                interval.push(affine);
-            }
-        }
-    }
-    Ok(WindowCover { cuts, beyond, intervals })
+    all_visit_cover_on(trajectories, Side::Positive, lo, hi)
+}
+
+/// [`all_visit_cover`] of one [`Side`] (see [`first_visit_cover_on`]).
+///
+/// # Errors
+///
+/// Same contract as [`first_visit_cover`].
+pub fn all_visit_cover_on(
+    trajectories: &[PiecewiseTrajectory],
+    side: Side,
+    lo: f64,
+    hi: f64,
+) -> Result<WindowCover> {
+    build_cover(trajectories, side, lo, hi, Visits::All, |_, affine| affine)
 }
 
 /// Reflects trajectories across the origin (`x -> -x`), so the
@@ -639,7 +796,7 @@ mod tests {
         assert_eq!(tagged.beyond(), bare.beyond());
         assert_eq!(tagged.intervals().len(), bare.intervals().len());
         for (i, (bare_affines, tagged_affines)) in
-            bare.intervals().iter().zip(tagged.intervals()).enumerate()
+            bare.intervals().iter().zip(tagged.intervals().iter()).enumerate()
         {
             let stripped: Vec<Affine> = tagged_affines.iter().map(|&(_, f)| f).collect();
             assert_eq!(&stripped, bare_affines, "interval {i}");
@@ -653,6 +810,81 @@ mod tests {
         // 1's is the 0 -> +3 sweep: attribution is by index.
         let first = &tagged.intervals()[0];
         assert_eq!(first.iter().map(|&(r, _)| r).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    fn mixed_fleet() -> Vec<PiecewiseTrajectory> {
+        let fast = PiecewiseTrajectory::with_speed_limit(
+            vec![
+                SpaceTime::origin(),
+                SpaceTime::new(-3.0, 1.5),
+                SpaceTime::new(9.0, 7.5),
+                SpaceTime::new(-20.0, 22.0),
+            ],
+            2.0,
+        )
+        .unwrap();
+        let held = TrajectoryBuilder::from_origin()
+            .sweep_to(-2.5)
+            .hold_until(6.0)
+            .sweep_to(7.0)
+            .sweep_to(-11.0)
+            .finish()
+            .unwrap();
+        vec![doubling_prefix(), fast, held]
+    }
+
+    #[test]
+    fn negative_side_covers_equal_covers_of_the_mirrored_fleet() {
+        let fleet = mixed_fleet();
+        let reflected = mirrored(&fleet).unwrap();
+        for (lo, hi) in [(1.0, 6.0), (1.0, 3.0), (0.5, 25.0), (2.0, 2.5)] {
+            assert_eq!(
+                first_visit_cover_on(&fleet, Side::Negative, lo, hi).unwrap(),
+                first_visit_cover(&reflected, lo, hi).unwrap(),
+                "[{lo}, {hi}]"
+            );
+            assert_eq!(
+                attributed_first_visit_cover_on(&fleet, Side::Negative, lo, hi).unwrap(),
+                attributed_first_visit_cover(&reflected, lo, hi).unwrap(),
+                "[{lo}, {hi}]"
+            );
+            assert_eq!(
+                all_visit_cover_on(&fleet, Side::Negative, lo, hi).unwrap(),
+                all_visit_cover(&reflected, lo, hi).unwrap(),
+                "[{lo}, {hi}]"
+            );
+            assert_eq!(
+                first_visit_cover_on(&fleet, Side::Positive, lo, hi).unwrap(),
+                first_visit_cover(&fleet, lo, hi).unwrap(),
+                "[{lo}, {hi}]"
+            );
+        }
+    }
+
+    #[test]
+    fn csr_rows_list_items_in_robot_then_time_order() {
+        let fleet = mixed_fleet();
+        let cover = all_visit_cover(&fleet, 1.0, 6.0).unwrap();
+        let tagged = attributed_first_visit_cover(&fleet, 1.0, 6.0).unwrap();
+        assert_eq!(cover.intervals().len(), cover.intervals().iter().len());
+        assert!(!cover.intervals().is_empty());
+        for (i, row) in tagged.intervals().iter().enumerate() {
+            let robots: Vec<u32> = row.iter().map(|&(r, _)| r).collect();
+            assert!(robots.windows(2).all(|w| w[0] < w[1]), "interval {i}: {robots:?}");
+            assert_eq!(&tagged.intervals()[i], row);
+        }
+        // All-visit rows hold every pass, ordered like the pointwise
+        // visit list within each robot.
+        let (lo, hi) = cover.interval_bounds(0);
+        let x = 0.5 * (lo + hi);
+        let mut times: Vec<f64> = cover.intervals()[0].iter().map(|a| a.eval(x)).collect();
+        times.sort_by(f64::total_cmp);
+        let mut pointwise: Vec<f64> = fleet.iter().flat_map(|t| t.visits(x)).collect();
+        pointwise.sort_by(f64::total_cmp);
+        assert_eq!(times.len(), pointwise.len());
+        for (a, b) in times.iter().zip(&pointwise) {
+            assert!((a - b).abs() <= 1e-12 * b.abs(), "{times:?} vs {pointwise:?}");
+        }
     }
 
     #[test]

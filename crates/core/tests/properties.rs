@@ -2,12 +2,16 @@
 
 use faultline_core::closed_form::ClosedForm;
 use faultline_core::coverage::Fleet;
+use faultline_core::exact::{
+    all_visit_cover, all_visit_cover_on, attributed_first_visit_cover,
+    attributed_first_visit_cover_on, first_visit_cover, first_visit_cover_on, mirrored, Side,
+};
 use faultline_core::lower_bound;
 use faultline_core::plan::TrajectoryPlan;
 use faultline_core::ratio;
 use faultline_core::{
-    Algorithm, BoundedAlgorithm, ClampedZigZagPlan, Cone, Params, ProportionalSchedule, SpaceTime,
-    TurnCost, ZigZagPlan,
+    Algorithm, BoundedAlgorithm, ClampedZigZagPlan, Cone, Params, PiecewiseTrajectory,
+    ProportionalSchedule, SpaceTime, TurnCost, ZigZagPlan,
 };
 use proptest::prelude::*;
 
@@ -24,8 +28,58 @@ fn any_params() -> impl Strategy<Value = Params> {
     (1usize..40).prop_flat_map(|n| (0usize..n).prop_map(move |f| Params::new(n, f).unwrap()))
 }
 
+/// Strategy generating small fleets of arbitrary speed-2-bounded
+/// trajectories from the origin: each robot is a list of steps, one
+/// drawn `u64` each, moving at a velocity `v` in `(-1.9, 1.9)` for a
+/// duration in `(0.05, 4)`, with slow steps turned into holds.
+fn wandering_fleet() -> impl Strategy<Value = Vec<PiecewiseTrajectory>> {
+    let unit = |bits: u64| (bits & 0xffff_ffff) as f64 / (1u64 << 32) as f64;
+    let steps = prop::collection::vec(any::<u64>(), 1..10);
+    prop::collection::vec(steps, 1..6).prop_map(move |robots| {
+        robots
+            .into_iter()
+            .map(|steps| {
+                let mut waypoints = vec![SpaceTime::origin()];
+                for bits in steps {
+                    let last = waypoints[waypoints.len() - 1];
+                    let dt = 0.05 + 3.95 * unit(bits);
+                    let v = -1.9 + 3.8 * unit(bits >> 32);
+                    let v = if v.abs() < 0.2 { 0.0 } else { v };
+                    waypoints.push(SpaceTime::new(last.x + v * dt, last.t + dt));
+                }
+                PiecewiseTrajectory::with_speed_limit(waypoints, 2.0).unwrap()
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Negative-side covers, built by reading `-x` on the fly, equal
+    /// the covers of the mirrored fleet bit for bit (cuts, beyond
+    /// projection, every affine and its order, robot tags).
+    #[test]
+    fn negative_side_covers_equal_mirrored_fleet_covers(
+        fleet in wandering_fleet(),
+        lo in 0.1f64..3.0,
+        span in 0.5f64..20.0,
+    ) {
+        let hi = lo + span;
+        let reflected = mirrored(&fleet).unwrap();
+        prop_assert_eq!(
+            first_visit_cover_on(&fleet, Side::Negative, lo, hi).unwrap(),
+            first_visit_cover(&reflected, lo, hi).unwrap()
+        );
+        prop_assert_eq!(
+            attributed_first_visit_cover_on(&fleet, Side::Negative, lo, hi).unwrap(),
+            attributed_first_visit_cover(&reflected, lo, hi).unwrap()
+        );
+        prop_assert_eq!(
+            all_visit_cover_on(&fleet, Side::Negative, lo, hi).unwrap(),
+            all_visit_cover(&reflected, lo, hi).unwrap()
+        );
+    }
 
     /// The cone reflection map and its inverse are mutually inverse, and
     /// consecutive turning points are joined by unit-speed segments.

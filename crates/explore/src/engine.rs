@@ -48,7 +48,9 @@ use std::collections::{BTreeMap, VecDeque};
 use faultline_analysis::exact::push_crossings;
 use faultline_analysis::exact_supremum;
 use faultline_core::coverage::prefer_argmax;
-use faultline_core::exact::{attributed_first_visit_cover, mirrored, Affine};
+use faultline_core::exact::{
+    attributed_first_visit_cover, attributed_first_visit_cover_on, Affine, Side,
+};
 use faultline_core::{
     par_map_with, Algorithm, Error, Fleet, Interval, ParallelConfig, Params, Result,
 };
@@ -399,12 +401,18 @@ pub fn explore_fleet(
 
     // Phase A: per-interval candidate and matrix builds, in parallel.
     let pos = attributed_first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = attributed_first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
+    let neg = attributed_first_visit_cover_on(fleet.trajectories(), Side::Negative, 1.0, xmax)?;
     let mut jobs: Vec<TableJob> = Vec::new();
     for (sign, cover) in [(1.0, &pos), (-1.0, &neg)] {
         for (i, rows) in cover.intervals().iter().enumerate() {
             let (lo, hi) = cover.interval_bounds(i);
-            jobs.push(TableJob { sign, lo, hi, is_beyond: cover.is_beyond(i), rows: rows.clone() });
+            jobs.push(TableJob {
+                sign,
+                lo,
+                hi,
+                is_beyond: cover.is_beyond(i),
+                rows: rows.to_vec(),
+            });
         }
     }
     let tables: Vec<IntervalTable> =

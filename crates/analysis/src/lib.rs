@@ -18,7 +18,6 @@
 //! * [`ascii`] / [`svg`] — terminal tables/charts and SVG space–time
 //!   diagrams.
 //! * [`report`] — paper-vs-measured markdown reports (EXPERIMENTS.md).
-//! * [`parallel`] — crossbeam-based parallel sweeps.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,7 +33,6 @@ pub mod exact;
 pub mod fig5;
 pub mod figures;
 pub mod group_search;
-pub mod parallel;
 pub mod randomized;
 pub mod report;
 pub mod scenario;
@@ -52,7 +50,7 @@ pub use exact::{
 };
 pub use figures::FigureData;
 pub use report::{Comparison, ExperimentReport};
-pub use scenario::{run_document, Scenario, ScenarioResult};
+pub use scenario::{Scenario, ScenarioResult};
 pub use supremum::{
     measure_free_schedule_cr, measure_free_schedule_cr_grid, measure_free_schedule_expected_cr,
     measure_free_schedule_expected_cr_grid, measure_free_schedule_profile,

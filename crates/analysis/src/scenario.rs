@@ -27,16 +27,17 @@
 //!   per-visit coins of a coin-driven `fault_plan` (default 0); the
 //!   same seed always reproduces the same coin flips.
 //!
-//! The CLI also accepts a recorded failure trace
-//! ([`faultline_sim::RunTrace`] JSON) wherever a scenario file is
-//! expected: [`run_document`] detects the document kind, re-executes a
-//! trace bit-for-bit, and reports it in the same result format.
+//! This is the unversioned form of the `faultline-scenario` crate's
+//! `ScenarioDoc`, which upgrades it at parse time and adds per-robot
+//! speeds, activation delays, fault onsets and the half-line. Both
+//! forms share this module's validator ([`Scenario::validate`]) and
+//! its per-target simulation fan-out ([`Scenario::run_on`]).
 
-use faultline_core::{json_float, Error, Params, Result, TrajectoryPlan};
+use faultline_core::{json_float, Error, Params, PiecewiseTrajectory, Result, TrajectoryPlan};
 use faultline_sim::engine::SimConfig;
 use faultline_sim::{
-    worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, RunTrace, SearchOutcome,
-    Simulation, Target,
+    worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, SearchOutcome, Simulation,
+    Target,
 };
 use faultline_strategies::{
     strategy_by_name, RandomizedStrategy, RandomizedSweepStrategy, Strategy,
@@ -186,7 +187,10 @@ impl<'de> Deserialize<'de> for ScenarioResult {
 }
 
 impl ScenarioResult {
-    fn from_outcome(target: f64, outcome: &SearchOutcome) -> Self {
+    /// The result row of one simulated (or replayed) search for
+    /// `target`.
+    #[must_use]
+    pub fn from_outcome(target: f64, outcome: &SearchOutcome) -> Self {
         ScenarioResult {
             target,
             detection_time: outcome.detection.as_ref().map(|d| d.time),
@@ -313,7 +317,11 @@ impl Scenario {
     /// targets up to `xmax`. Deterministic strategies come from the
     /// registry; `"randomized-sweep"` draws its coins from the
     /// scenario's explicit seed (default 0).
-    fn plans_and_horizon(
+    ///
+    /// # Errors
+    ///
+    /// Propagates strategy resolution and plan failures.
+    pub fn plans_and_horizon(
         &self,
         params: Params,
         xmax: f64,
@@ -332,8 +340,9 @@ impl Scenario {
         Ok((plans, horizon))
     }
 
-    /// Runs the scenario: every target is searched independently, with
-    /// the explicit fault set or the worst-case adversary.
+    /// Runs the scenario on the paper's unit-speed fleet: every target
+    /// is searched independently, with the explicit fault set or the
+    /// worst-case adversary.
     ///
     /// # Errors
     ///
@@ -345,36 +354,47 @@ impl Scenario {
         let (plans, horizon) = self.plans_and_horizon(params, xmax)?;
         let trajectories =
             plans.iter().map(|p| p.materialize(horizon)).collect::<Result<Vec<_>>>()?;
+        self.run_on(&trajectories, &[])
+    }
 
+    /// Searches every target on an already materialized fleet: the
+    /// one simulation fan-out behind both scenario forms. `onsets`
+    /// holds one optional fault-onset time per robot (empty for none);
+    /// it only matters with a `fault_plan`. The scenario is assumed
+    /// validated.
+    ///
+    /// # Errors
+    ///
+    /// Propagates target and simulation failures.
+    pub fn run_on(
+        &self,
+        trajectories: &[PiecewiseTrajectory],
+        onsets: &[Option<f64>],
+    ) -> Result<Vec<ScenarioResult>> {
+        let any_onset = onsets.iter().any(Option::is_some);
+        let seed = self.seed.unwrap_or(0);
         // Each target is an independent simulation; fan them out over
         // the core work-stealing engine (honours FAULTLINE_THREADS).
         faultline_core::par_map(&self.targets, |&x| {
             let target = Target::new(x)?;
+            let fleet = trajectories.to_vec();
             let outcome: SearchOutcome = if let Some(kinds) = &self.fault_plan {
                 let plan = FaultPlan::new(kinds.clone())?;
                 let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
-                Simulation::with_quorum(
-                    trajectories.clone(),
-                    target,
-                    &plan,
-                    self.seed.unwrap_or(0),
-                    SimConfig::default(),
-                    quorum,
-                )?
-                .run()
+                let config = SimConfig::default();
+                if any_onset {
+                    Simulation::with_onsets(fleet, target, &plan, onsets, seed, config, quorum)?
+                        .run()
+                } else {
+                    Simulation::with_quorum(fleet, target, &plan, seed, config, quorum)?.run()
+                }
             } else {
                 match &self.faulty {
                     Some(faulty) => {
                         let mask = FaultMask::from_indices(self.n, faulty)?;
-                        Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())?
-                            .run()
+                        Simulation::new(fleet, target, &mask, SimConfig::default())?.run()
                     }
-                    None => worst_case_outcome(
-                        trajectories.clone(),
-                        target,
-                        self.f,
-                        SimConfig::default(),
-                    )?,
+                    None => worst_case_outcome(fleet, target, self.f, SimConfig::default())?,
                 }
             };
             Ok(ScenarioResult::from_outcome(x, &outcome))
@@ -382,26 +402,6 @@ impl Scenario {
         .into_iter()
         .collect()
     }
-}
-
-/// Runs a JSON document that is either a declarative [`Scenario`] or a
-/// recorded [`RunTrace`]. A trace is re-executed and checked
-/// bit-for-bit against its recorded outcome before being reported.
-///
-/// # Errors
-///
-/// Propagates scenario failures; for a trace, returns [`Error::Domain`]
-/// when the replayed outcome diverges from the recorded one, and
-/// rejects (never panics on) hand-edited traces with invalid
-/// parameters.
-pub fn run_document(json: &str) -> Result<Vec<ScenarioResult>> {
-    // The two document kinds have disjoint required fields, so the
-    // trace parser cleanly rejects scenarios and vice versa.
-    if let Ok(trace) = RunTrace::from_json(json) {
-        trace.verify()?;
-        return Ok(vec![ScenarioResult::from_outcome(trace.target, &trace.outcome)]);
-    }
-    Scenario::from_json(json)?.run()
 }
 
 /// Serializes results back to pretty JSON (for piping to other tools).
@@ -520,42 +520,6 @@ mod tests {
         let results = s.run().unwrap();
         assert!(results[0].ratio.is_infinite());
         assert_eq!(results[0].detection_time, None);
-    }
-
-    #[test]
-    fn run_document_dispatches_on_document_kind() {
-        use faultline_core::TrajectoryBuilder;
-        use faultline_sim::{FaultKind, FaultPlan};
-
-        // A scenario document takes the scenario path.
-        let results = run_document(BASIC).unwrap();
-        assert_eq!(results.len(), 2);
-
-        // A recorded trace replays bit-for-bit and reports one result.
-        let straight = |to: f64| TrajectoryBuilder::from_origin().sweep_to(to).finish().unwrap();
-        let trace = RunTrace::record(
-            "suite replay test",
-            vec![straight(9.0), straight(9.0)],
-            Target::new(2.0).unwrap(),
-            &FaultPlan::new(vec![FaultKind::Sensor, FaultKind::Reliable]).unwrap(),
-            0,
-            SimConfig::default(),
-            None,
-        )
-        .unwrap();
-        assert!(trace.outcome.detected(), "robot 1 reaches and reports the target");
-        let results = run_document(&trace.to_json().unwrap()).unwrap();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].target, 2.0);
-        assert_eq!(results[0].detection_time, trace.outcome.detection.as_ref().map(|d| d.time));
-
-        // A diverging trace (tampered outcome) is rejected, not panicked.
-        let mut tampered = trace.clone();
-        tampered.outcome.detection = None;
-        assert!(run_document(&tampered.to_json().unwrap()).is_err());
-
-        // Garbage is rejected with the scenario parser's error.
-        assert!(run_document("{ not json").is_err());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The versioned scenario document: structure, serde, validation.
+//! The versioned scenario document: structure, serde, validation, and
+//! the one front door that reads any scenario or trace file.
 //!
 //! A v1 document generalizes the legacy [`faultline_analysis::Scenario`]
 //! form with an explicit `version` field, a `geometry` selector and an
@@ -19,15 +20,19 @@
 //! }
 //! ```
 //!
+//! A legacy document is a parse-time spelling of a v1 one: [`Document`]
+//! upgrades it (version 1, full line, no `robots`) before anything runs,
+//! so both spellings of a run validate, run and cache identically.
+//!
 //! Every `f64` round-trips bit-exactly through the
 //! [`faultline_core::json_float`] sentinels, unknown fields are
 //! rejected (a typo never silently becomes a default), and parsing
 //! never panics: malformed documents surface as
 //! [`faultline_core::Error::Domain`].
 
-use faultline_core::{json_float, Error, Geometry, Params, Result};
-use faultline_sim::{FaultKind, FaultMask, FaultPlan, QuorumConfig};
-use faultline_strategies::strategy_by_name;
+use faultline_analysis::Scenario;
+use faultline_core::{json_float, Error, Geometry, Result};
+use faultline_sim::{FaultKind, RunTrace};
 use serde::{Deserialize, Serialize};
 
 /// The document version this build reads and writes.
@@ -148,17 +153,6 @@ pub struct RobotSpec {
 impl Default for RobotSpec {
     fn default() -> Self {
         RobotSpec { speed: 1.0, activation: Activation::Immediate, fault_onset: None }
-    }
-}
-
-impl RobotSpec {
-    /// Whether this spec is exactly the legacy default robot (bitwise
-    /// unit speed, immediate activation, no onset).
-    #[must_use]
-    pub fn is_legacy_default(&self) -> bool {
-        self.speed.to_bits() == 1.0f64.to_bits()
-            && self.activation == Activation::Immediate
-            && self.fault_onset.is_none()
     }
 }
 
@@ -433,12 +427,29 @@ impl ScenarioDoc {
         })
     }
 
-    /// Validates every cross-field constraint of the document.
+    /// The fields this document shares with the legacy [`Scenario`]
+    /// form, which owns their validation and the simulation fan-out.
+    pub(crate) fn shared(&self) -> Scenario {
+        Scenario {
+            n: self.n,
+            f: self.f,
+            strategy: self.strategy.clone(),
+            beta: self.beta,
+            targets: self.targets.clone(),
+            faulty: self.faulty.clone(),
+            fault_plan: self.fault_plan.clone(),
+            quorum: self.quorum,
+            seed: self.seed,
+        }
+    }
+
+    /// Validates every cross-field constraint of the document: the
+    /// shared fields through [`Scenario::validate`], then what v1 adds.
     ///
     /// # Errors
     ///
-    /// Reports invalid `(n, f)`, unknown strategies, missing/extra
-    /// `beta`, empty or out-of-domain targets, over-budget fault sets,
+    /// Reports an unsupported version, every error of
+    /// [`Scenario::validate`], non-finite or out-of-domain targets,
     /// malformed robot specs, and onsets without a matching fault.
     pub fn validate(&self) -> Result<()> {
         if self.version != SCENARIO_VERSION {
@@ -447,10 +458,13 @@ impl ScenarioDoc {
                 self.version
             )));
         }
-        Params::new(self.n, self.f)?;
-        if self.targets.is_empty() {
-            return Err(Error::domain("scenario needs at least one target"));
+        let mut shared = self.shared();
+        // A Seeded activation draws its delays from the seed, which
+        // widens the legacy rule on when a seed is meaningful.
+        if self.has_seeded_activation() {
+            shared.seed = None;
         }
+        shared.validate()?;
         for &x in &self.targets {
             if !x.is_finite() {
                 return Err(Error::domain(format!("target {x} is not finite")));
@@ -459,91 +473,6 @@ impl ScenarioDoc {
                 return Err(Error::domain(format!(
                     "target {x} lies outside the {} adversary window",
                     self.geometry
-                )));
-            }
-        }
-        match self.strategy.as_str() {
-            "fixed-beta" => {
-                if self.beta.is_none() {
-                    return Err(Error::domain("strategy \"fixed-beta\" requires a \"beta\" field"));
-                }
-            }
-            "randomized-sweep" => {
-                if self.beta.is_some() {
-                    return Err(Error::domain(
-                        "\"beta\" is only meaningful with strategy \"fixed-beta\"",
-                    ));
-                }
-            }
-            name => {
-                if strategy_by_name(name).is_none() {
-                    return Err(Error::domain(format!("unknown strategy \"{name}\"")));
-                }
-                if self.beta.is_some() {
-                    return Err(Error::domain(
-                        "\"beta\" is only meaningful with strategy \"fixed-beta\"",
-                    ));
-                }
-            }
-        }
-        // A seed is meaningful wherever coins are flipped: randomized
-        // sweeps, coin-driven fault plans, or seeded activation.
-        let coin_driven_plan = self.fault_plan.as_ref().is_some_and(|kinds| {
-            kinds.iter().any(|k| {
-                matches!(
-                    k,
-                    FaultKind::Intermittent { .. }
-                        | FaultKind::Byzantine { .. }
-                        | FaultKind::PFaulty { .. }
-                )
-            })
-        });
-        if self.seed.is_some()
-            && self.strategy != "randomized-sweep"
-            && !coin_driven_plan
-            && !self.has_seeded_activation()
-        {
-            return Err(Error::domain(
-                "\"seed\" is only meaningful with strategy \"randomized-sweep\", a \
-                 coin-driven \"fault_plan\" or a \"Seeded\" activation",
-            ));
-        }
-        if let Some(faulty) = &self.faulty {
-            if self.fault_plan.is_some() {
-                return Err(Error::domain("\"faulty\" and \"fault_plan\" are mutually exclusive"));
-            }
-            if faulty.len() > self.f {
-                return Err(Error::invalid_params(
-                    self.n,
-                    self.f,
-                    format!("{} explicit faults exceed the budget f = {}", faulty.len(), self.f),
-                ));
-            }
-            FaultMask::from_indices(self.n, faulty)?;
-        }
-        if let Some(kinds) = &self.fault_plan {
-            if kinds.len() != self.n {
-                return Err(Error::invalid_params(
-                    self.n,
-                    self.f,
-                    format!(
-                        "fault plan covers {} robots but the fleet has {}",
-                        kinds.len(),
-                        self.n
-                    ),
-                ));
-            }
-            FaultPlan::new(kinds.clone())?.check_budget(self.f)?;
-        }
-        if let Some(votes) = self.quorum {
-            if self.fault_plan.is_none() {
-                return Err(Error::domain("\"quorum\" requires an explicit \"fault_plan\""));
-            }
-            QuorumConfig::new(votes)?;
-            if votes > self.n {
-                return Err(Error::domain(format!(
-                    "quorum of {votes} votes exceeds the fleet size n = {}",
-                    self.n
                 )));
             }
         }
@@ -608,12 +537,73 @@ impl ScenarioDoc {
     }
 }
 
+/// The upgrade of a legacy document: version 1, the full line, and the
+/// paper's fleet.
+impl From<Scenario> for ScenarioDoc {
+    fn from(legacy: Scenario) -> Self {
+        ScenarioDoc {
+            version: SCENARIO_VERSION,
+            n: legacy.n,
+            f: legacy.f,
+            strategy: legacy.strategy,
+            beta: legacy.beta,
+            geometry: Geometry::Line,
+            targets: legacy.targets,
+            faulty: legacy.faulty,
+            fault_plan: legacy.fault_plan,
+            quorum: legacy.quorum,
+            seed: legacy.seed,
+            robots: None,
+        }
+    }
+}
+
+/// Any JSON document the scenario runner accepts.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Document {
+    /// A scenario: versioned, or upgraded from the legacy form.
+    Scenario(ScenarioDoc),
+    /// A recorded run trace, replayed and checked bit-for-bit.
+    Trace(RunTrace),
+}
+
+impl Document {
+    /// Parses and validates a document, trying in order a versioned
+    /// scenario (so a typo'd v1 document fails with the strict
+    /// parser's diagnostic instead of degrading), a legacy scenario
+    /// (upgraded to a [`ScenarioDoc`]), and a recorded trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns the versioned parser's error for a versioned document;
+    /// otherwise an [`Error::Domain`] saying the document is neither a
+    /// scenario nor a trace, with both parsers' reasons.
+    pub fn from_json(json: &str) -> Result<Self> {
+        if serde_json::from_str(json).as_ref().is_ok_and(is_scenario_value) {
+            return ScenarioDoc::from_json(json).map(Document::Scenario);
+        }
+        let legacy = serde_json::from_str::<Scenario>(json)
+            .map_err(|e| Error::domain(format!("malformed scenario: {e}")))
+            .map(ScenarioDoc::from)
+            .and_then(|doc| doc.validate().map(|()| doc));
+        match legacy {
+            Ok(doc) => Ok(Document::Scenario(doc)),
+            Err(legacy_error) => {
+                RunTrace::from_json(json).map(Document::Trace).map_err(|trace_error| {
+                    Error::domain(format!(
+                        "document is neither a scenario nor a trace: {legacy_error}; {trace_error}"
+                    ))
+                })
+            }
+        }
+    }
+}
+
 /// Whether a parsed JSON value looks like a versioned scenario
 /// document: an object carrying both `version` and `n` keys. (A
 /// recorded [`faultline_sim::RunTrace`] also has `version` but never
 /// `n`; the legacy scenario form has `n` but never `version`.)
-#[must_use]
-pub fn is_scenario_value(value: &serde::Value) -> bool {
+fn is_scenario_value(value: &serde::Value) -> bool {
     match value {
         serde::Value::Object(fields) => {
             fields.iter().any(|(k, _)| k == "version") && fields.iter().any(|(k, _)| k == "n")
@@ -635,7 +625,7 @@ mod tests {
         assert_eq!(doc.strategy, "paper");
         assert_eq!(doc.geometry, Geometry::Line);
         assert_eq!(doc.robots, None);
-        assert!(doc.robot_specs().iter().all(RobotSpec::is_legacy_default));
+        assert!(doc.robot_specs().iter().all(|spec| *spec == RobotSpec::default()));
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //!   typed diagnostic, never a panic, and every `f64` round-trips
 //!   bit-exactly through [`faultline_core::json_float`].
 //!
-//! Documents whose fleet is exactly the paper's delegate to the legacy
-//! runner and reproduce its output byte-for-byte — the
-//! `unit-speed-scenario-equivalence` conformance oracle pins the
-//! generalized path to the legacy one across a generated corpus.
+//! The legacy form is a parse-time spelling of a v1 document:
+//! [`Document::from_json`] — the one front door for scenario and trace
+//! files — upgrades it to a [`ScenarioDoc`], and every scenario runs
+//! through the one validator ([`faultline_analysis::Scenario::validate`]
+//! plus the v1 additions) and the one simulation fan-out
+//! ([`faultline_analysis::Scenario::run_on`]). The
+//! `unit-speed-scenario-equivalence` conformance oracle pins documents
+//! with the paper's fleet to the legacy runner byte-for-byte.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,7 +33,6 @@ pub mod optimize;
 pub mod run;
 
 pub use document::{
-    is_scenario_value, Activation, RobotSpec, ScenarioDoc, MAX_DELAY, MAX_SPEED, SCENARIO_VERSION,
+    Activation, Document, RobotSpec, ScenarioDoc, MAX_DELAY, MAX_SPEED, SCENARIO_VERSION,
 };
 pub use optimize::FromScenario;
-pub use run::{run_scenario_json, unsupported_document_error};

@@ -1,26 +1,17 @@
 //! Executing scenario documents.
 //!
-//! A document whose fleet is exactly the paper's (unit speeds,
-//! immediate activation, no onsets, full line) delegates to the legacy
-//! [`faultline_analysis::Scenario`] runner and reproduces its output
-//! byte-for-byte. Anything else takes the general path: plans are
-//! materialized in *plan time* and retimed into wall clock per robot
-//! (`t ↦ delay + t / speed`), then fed through the same three
-//! simulation paths the legacy runner uses.
+//! Plans are materialized in *plan time* and retimed into wall clock
+//! per robot (`t ↦ delay + t / speed`); the resulting fleet goes
+//! through the one per-target simulation fan-out,
+//! [`faultline_analysis::Scenario::run_on`]. For the paper's fleet
+//! (unit speeds, immediate activation, no onsets) every retiming is a
+//! bitwise identity, so a legacy document upgraded to a
+//! [`ScenarioDoc`] reproduces the legacy runner byte-for-byte.
 
-use faultline_analysis::{resolve_strategy, Scenario, ScenarioResult};
-use faultline_core::{
-    Error, Geometry, Params, PiecewiseTrajectory, Result, SpaceTime, TrajectoryPlan,
-};
-use faultline_sim::engine::SimConfig;
-use faultline_sim::{
-    worst_case_outcome, FaultMask, FaultPlan, QuorumConfig, SearchOutcome, Simulation, Target,
-};
-use faultline_strategies::{RandomizedStrategy, RandomizedSweepStrategy, Strategy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use faultline_analysis::ScenarioResult;
+use faultline_core::{Params, PiecewiseTrajectory, Result, SpaceTime};
 
-use crate::document::{Activation, RobotSpec, ScenarioDoc};
+use crate::document::{Activation, Document, ScenarioDoc};
 
 /// Seed salt separating activation-delay coins from the simulator's
 /// sensor-miss and Byzantine-lie streams: reusing a seed across the
@@ -43,11 +34,11 @@ fn activation_coin(seed: u64, robot: usize) -> f64 {
 /// Maps a unit-speed plan-time trajectory into wall clock: every
 /// waypoint `(x, t)` becomes `(x, delay + t / speed)`, with a parked
 /// origin waypoint prepended for a positive delay. The all-defaults
-/// case returns the input unchanged (bitwise — delegation depends on
-/// it).
-fn retime(t: &PiecewiseTrajectory, speed: f64, delay: f64) -> Result<PiecewiseTrajectory> {
+/// case returns the input unchanged (bitwise — byte-identity with the
+/// legacy runner depends on it).
+fn retime(t: PiecewiseTrajectory, speed: f64, delay: f64) -> Result<PiecewiseTrajectory> {
     if speed.to_bits() == 1.0f64.to_bits() && delay == 0.0 {
-        return Ok(t.clone());
+        return Ok(t);
     }
     let mut waypoints = Vec::with_capacity(t.waypoints().len() + 1);
     if delay > 0.0 {
@@ -59,46 +50,7 @@ fn retime(t: &PiecewiseTrajectory, speed: f64, delay: f64) -> Result<PiecewiseTr
     PiecewiseTrajectory::with_speed_limit(waypoints, speed.max(1.0))
 }
 
-fn result_from_outcome(target: f64, outcome: &SearchOutcome) -> ScenarioResult {
-    ScenarioResult {
-        target,
-        detection_time: outcome.detection.as_ref().map(|d| d.time),
-        ratio: outcome.ratio(),
-        detected_by: outcome.detection.as_ref().map(|d| d.robot.0),
-        distinct_visitors: outcome.distinct_visitors(),
-        confirmed_position: outcome.confirmed_position,
-        false_claims: outcome.claims.iter().filter(|c| !c.truthful).count(),
-    }
-}
-
 impl ScenarioDoc {
-    /// The legacy scenario this document is equivalent to, when its
-    /// fleet is exactly the paper's: full-line geometry and every
-    /// robot bitwise unit-speed, immediately active, with no fault
-    /// onset. `None` as soon as any generalized feature is engaged.
-    #[must_use]
-    pub fn as_legacy(&self) -> Option<Scenario> {
-        if self.geometry != Geometry::Line {
-            return None;
-        }
-        if let Some(specs) = &self.robots {
-            if !specs.iter().all(RobotSpec::is_legacy_default) {
-                return None;
-            }
-        }
-        Some(Scenario {
-            n: self.n,
-            f: self.f,
-            strategy: self.strategy.clone(),
-            beta: self.beta,
-            targets: self.targets.clone(),
-            faulty: self.faulty.clone(),
-            fault_plan: self.fault_plan.clone(),
-            quorum: self.quorum,
-            seed: self.seed,
-        })
-    }
-
     /// Resolved activation delay per robot. Seeded delays draw from
     /// the scenario seed (default 0) on the activation coin stream, so
     /// the same document always resolves to the same fleet.
@@ -114,28 +66,6 @@ impl ScenarioDoc {
                 Activation::Seeded { max_delay } => activation_coin(seed, i) * max_delay,
             })
             .collect()
-    }
-
-    /// Generates the trajectory plans and a sufficient plan-time
-    /// horizon for targets up to `xmax` (the same resolution logic as
-    /// the legacy runner, including the seeded randomized sweep).
-    fn plans_and_horizon(
-        &self,
-        params: Params,
-        xmax: f64,
-    ) -> Result<(Vec<Box<dyn TrajectoryPlan>>, f64)> {
-        let reach = xmax * 1.01 + 1.0;
-        if self.strategy == "randomized-sweep" {
-            let sweep = RandomizedSweepStrategy::kao_optimal();
-            let mut rng = StdRng::seed_from_u64(self.seed.unwrap_or(0));
-            let plans = sweep.sample_plans(params, &mut rng)?;
-            let horizon = sweep.horizon_hint(params, reach);
-            return Ok((plans, horizon));
-        }
-        let strategy: Box<dyn Strategy> = resolve_strategy(&self.strategy, self.beta)?;
-        let plans = strategy.plans(params)?;
-        let horizon = strategy.horizon_hint(params, reach);
-        Ok((plans, horizon))
     }
 
     /// Materializes the document's fleet in wall clock: plans are
@@ -155,7 +85,7 @@ impl ScenarioDoc {
         self.validate()?;
         let params = Params::new(self.n, self.f)?;
         let xmax = self.targets.iter().map(|x| x.abs()).fold(1.0f64, f64::max);
-        let (plans, base_horizon) = self.plans_and_horizon(params, xmax)?;
+        let (plans, base_horizon) = self.shared().plans_and_horizon(params, xmax)?;
         let specs = self.robot_specs();
         let delays = self.activation_delays();
         let wall_horizon = base_horizon + delays.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -168,116 +98,53 @@ impl ScenarioDoc {
                 // than the wall clock, so its plan must extend that
                 // much further to fill the shared horizon.
                 let trajectory = plan.materialize(wall_horizon * spec.speed)?;
-                retime(&trajectory, spec.speed, delay)
+                retime(trajectory, spec.speed, delay)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok((trajectories, wall_horizon))
     }
 
-    /// Runs the scenario. Documents expressible in the legacy form
-    /// delegate to [`Scenario::run`] and reproduce its output
-    /// byte-for-byte; generalized documents take
-    /// [`ScenarioDoc::run_general`].
+    /// Runs the scenario: the wall-clock fleet of
+    /// [`ScenarioDoc::materialize_fleet`] searches every target through
+    /// [`faultline_analysis::Scenario::run_on`], with each robot's
+    /// fault onset.
     ///
     /// # Errors
     ///
     /// Propagates validation, strategy, plan and simulation failures.
     pub fn run(&self) -> Result<Vec<ScenarioResult>> {
-        self.validate()?;
-        if let Some(legacy) = self.as_legacy() {
-            return legacy.run();
-        }
-        self.run_general()
+        let (trajectories, _) = self.materialize_fleet()?;
+        let onsets: Vec<Option<f64>> = self.robot_specs().iter().map(|s| s.fault_onset).collect();
+        self.shared().run_on(&trajectories, &onsets)
     }
+}
 
-    /// Runs the scenario through the generalized path unconditionally
-    /// (heterogeneous fleet machinery even for all-default documents;
-    /// the `unit-speed-scenario-equivalence` conformance oracle pins
-    /// this path to the legacy runner bit-for-bit).
+impl Document {
+    /// Runs the document: a scenario through [`ScenarioDoc::run`]; a
+    /// trace is re-executed, checked bit-for-bit against its recorded
+    /// outcome, and reported as one result.
     ///
     /// # Errors
     ///
-    /// Propagates validation, strategy, plan and simulation failures.
-    pub fn run_general(&self) -> Result<Vec<ScenarioResult>> {
-        self.validate()?;
-        let (trajectories, _) = self.materialize_fleet()?;
-        let specs = self.robot_specs();
-        let onsets: Vec<Option<f64>> = specs.iter().map(|s| s.fault_onset).collect();
-        let any_onset = onsets.iter().any(Option::is_some);
-        let seed = self.seed.unwrap_or(0);
-        faultline_core::par_map(&self.targets, |&x| {
-            let target = Target::new(x)?;
-            let outcome: SearchOutcome = if let Some(kinds) = &self.fault_plan {
-                let plan = FaultPlan::new(kinds.clone())?;
-                let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
-                if any_onset {
-                    Simulation::with_onsets(
-                        trajectories.clone(),
-                        target,
-                        &plan,
-                        &onsets,
-                        seed,
-                        SimConfig::default(),
-                        quorum,
-                    )?
-                    .run()
-                } else {
-                    Simulation::with_quorum(
-                        trajectories.clone(),
-                        target,
-                        &plan,
-                        seed,
-                        SimConfig::default(),
-                        quorum,
-                    )?
-                    .run()
-                }
-            } else {
-                match &self.faulty {
-                    Some(faulty) => {
-                        let mask = FaultMask::from_indices(self.n, faulty)?;
-                        Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())?
-                            .run()
-                    }
-                    None => worst_case_outcome(
-                        trajectories.clone(),
-                        target,
-                        self.f,
-                        SimConfig::default(),
-                    )?,
-                }
-            };
-            Ok(result_from_outcome(x, &outcome))
-        })
-        .into_iter()
-        .collect()
+    /// Propagates scenario failures; for a trace, returns
+    /// [`faultline_core::Error::Domain`] when the replayed outcome
+    /// diverges from the recorded one.
+    pub fn run(&self) -> Result<Vec<ScenarioResult>> {
+        match self {
+            Document::Scenario(doc) => doc.run(),
+            Document::Trace(trace) => {
+                trace.verify()?;
+                Ok(vec![ScenarioResult::from_outcome(trace.target, &trace.outcome)])
+            }
+        }
     }
-}
-
-/// Runs a JSON string that must be a versioned scenario document (the
-/// CLI's `faultline scenario run` path; [`crate::is_scenario_value`]
-/// decides whether a given document should come here at all).
-///
-/// # Errors
-///
-/// Propagates parse, validation and simulation failures.
-pub fn run_scenario_json(json: &str) -> Result<Vec<ScenarioResult>> {
-    ScenarioDoc::from_json(json)?.run()
-}
-
-/// Convenience: the parse error a caller should surface when a
-/// document is neither a scenario, a legacy scenario, nor a trace.
-#[must_use]
-pub fn unsupported_document_error() -> Error {
-    Error::domain(
-        "document is neither a versioned scenario, a legacy scenario, nor a recorded trace",
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use faultline_analysis::scenario::results_to_json;
+    use faultline_analysis::Scenario;
 
     fn doc(json: &str) -> ScenarioDoc {
         ScenarioDoc::from_json(json).unwrap()
@@ -301,28 +168,76 @@ mod tests {
                 "quorum": 3, "seed": 9}"#,
         )
         .unwrap();
-        assert_eq!(v1.as_legacy(), Some(legacy.clone()));
+        assert_eq!(ScenarioDoc::from(legacy.clone()), v1, "the upgrade is the v1 spelling");
         let via_doc = results_to_json(&v1.run().unwrap()).unwrap();
         let via_legacy = results_to_json(&legacy.run().unwrap()).unwrap();
         assert_eq!(via_doc, via_legacy);
-        // The general path agrees bitwise too (the conformance oracle
-        // pins this across the generated instance corpus).
-        let via_general = results_to_json(&v1.run_general().unwrap()).unwrap();
-        assert_eq!(via_general, via_legacy);
     }
 
     #[test]
-    fn explicit_default_robots_still_delegate() {
-        let v1 = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0],
+    fn explicit_default_robots_match_the_implicit_fleet() {
+        let implicit = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0, -7.5]}"#);
+        let explicit = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0, -7.5],
             "robots": [{"speed": 1.0}, {}, {"activation": "Immediate"}]}"#);
-        assert!(v1.as_legacy().is_some(), "all-default specs are the legacy fleet");
+        assert_eq!(explicit.run().unwrap(), implicit.run().unwrap());
+    }
+
+    #[test]
+    fn document_upgrades_legacy_and_replays_traces() {
+        use faultline_core::TrajectoryBuilder;
+        use faultline_sim::engine::SimConfig;
+        use faultline_sim::{FaultKind, FaultPlan, RunTrace, Target};
+
+        // A legacy document upgrades to its v1 spelling.
+        let legacy = Document::from_json(r#"{"n": 3, "f": 1, "targets": [2.0, -4.5]}"#).unwrap();
+        let v1 = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0, -4.5]}"#);
+        assert_eq!(legacy, Document::Scenario(v1));
+
+        // The upgraded document is validated at parse time: a target
+        // inside the unit window is rejected before anything runs.
+        let err = Document::from_json(r#"{"n": 3, "f": 1, "targets": [0.5]}"#).unwrap_err();
+        assert!(err.to_string().contains("neither a scenario nor a trace"), "got: {err}");
+        assert!(err.to_string().contains("target 0.5"), "got: {err}");
+
+        // A typo'd versioned document fails with the strict parser's
+        // diagnostic instead of falling through to the legacy form.
+        let err =
+            Document::from_json(r#"{"version": 1, "n": 3, "f": 1, "tragets": [2.0]}"#).unwrap_err();
+        assert!(err.to_string().contains("tragets"), "got: {err}");
+
+        // A recorded trace replays bit-for-bit and reports one result.
+        let straight = |to: f64| TrajectoryBuilder::from_origin().sweep_to(to).finish().unwrap();
+        let trace = RunTrace::record(
+            "document replay test",
+            vec![straight(9.0), straight(9.0)],
+            Target::new(2.0).unwrap(),
+            &FaultPlan::new(vec![FaultKind::Sensor, FaultKind::Reliable]).unwrap(),
+            0,
+            SimConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert!(trace.outcome.detected(), "robot 1 reaches and reports the target");
+        let results = Document::from_json(&trace.to_json().unwrap()).unwrap().run().unwrap();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].target, 2.0);
+        assert_eq!(results[0].detection_time, trace.outcome.detection.as_ref().map(|d| d.time));
+
+        // A diverging trace (tampered outcome) is rejected, not panicked.
+        let mut tampered = trace.clone();
+        tampered.outcome.detection = None;
+        assert!(Document::from_json(&tampered.to_json().unwrap()).unwrap().run().is_err());
+
+        // Garbage names both parsers' reasons.
+        let err = Document::from_json("{ not json").unwrap_err();
+        assert!(err.to_string().contains("malformed scenario"), "got: {err}");
+        assert!(err.to_string().contains("trace parse failed"), "got: {err}");
     }
 
     #[test]
     fn half_line_document_runs_one_sided() {
         let v1 =
             doc(r#"{"version": 1, "n": 3, "f": 1, "geometry": "HalfLine", "targets": [2.0, 4.5]}"#);
-        assert!(v1.as_legacy().is_none(), "half-line never takes the legacy path");
         let results = v1.run().unwrap();
         assert_eq!(results.len(), 2);
         for r in &results {

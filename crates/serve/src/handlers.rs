@@ -6,14 +6,13 @@
 //! spellings share a cache entry while any semantic difference —
 //! including the seed — gets its own.
 
-use faultline_analysis::scenario::{results_to_json, run_document, Scenario};
+use faultline_analysis::scenario::{results_to_json, Scenario};
 use faultline_analysis::supremum::SupremumQuery;
 use faultline_analysis::table1;
 use faultline_core::query::canonical_string;
 use faultline_core::CrQuery;
 use faultline_opt::OptimizeConfig;
-use faultline_scenario::{is_scenario_value, ScenarioDoc};
-use faultline_sim::RunTrace;
+use faultline_scenario::{Document, ScenarioDoc};
 
 use crate::http::Request;
 use crate::router::Route;
@@ -138,31 +137,10 @@ fn prepare_table1(request: &Request) -> Result<Prepared, ServeError> {
             )))
         }
     };
-    let grid = match request.query_param("grid") {
-        None => table1::DEFAULT_MEASURE_GRID,
-        Some(raw) => {
-            let grid: usize = raw.parse().map_err(|_| {
-                ServeError::BadRequest(format!(
-                    "query parameter `grid` must be a positive integer, got `{raw}`"
-                ))
-            })?;
-            if !(2..=1_000_000).contains(&grid) {
-                return Err(ServeError::BadRequest(format!(
-                    "query parameter `grid` must be in 2..=1000000, got `{grid}`"
-                )));
-            }
-            grid
-        }
-    };
-    // The grid is part of the resolved request even at its default:
-    // `?measure=true` and `?measure=true&grid=64` are the same entry.
-    let resolved = serde::Value::Object(vec![
-        ("measure".to_owned(), serde::Value::Bool(measure)),
-        ("grid".to_owned(), serde::Value::UInt(grid as u64)),
-    ]);
+    let resolved = serde::Value::Object(vec![("measure".to_owned(), serde::Value::Bool(measure))]);
     let cache_key = key_for(Route::Table1, &resolved);
     let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> = Box::new(move || {
-        let rows = table1::regenerate_with_grid(measure, grid)?;
+        let rows = table1::regenerate(measure)?;
         serde_json::to_string_pretty(&rows)
             .map(json_body)
             .map_err(|e| ServeError::Internal(format!("serialization failed: {e}")))
@@ -170,8 +148,9 @@ fn prepare_table1(request: &Request) -> Result<Prepared, ServeError> {
     Ok(Prepared { cache_key, compute })
 }
 
-/// Looks up a scenario preset by name.
-fn preset(name: &str) -> Result<Scenario, ServeError> {
+/// Looks up a scenario preset by name, applies an explicit seed, and
+/// upgrades it to a validated document.
+fn preset(name: &str, seed: Option<u64>) -> Result<ScenarioDoc, ServeError> {
     let json =
         SCENARIO_PRESETS.iter().find(|(n, _)| *n == name).map(|(_, json)| *json).ok_or_else(
             || {
@@ -182,8 +161,48 @@ fn preset(name: &str) -> Result<Scenario, ServeError> {
                 ))
             },
         )?;
-    Scenario::from_json(json)
-        .map_err(|e| ServeError::Internal(format!("preset `{name}` is invalid: {e}")))
+    // Parse only: the document is validated once, with the seed.
+    let mut scenario: Scenario = serde_json::from_str(json)
+        .map_err(|e| ServeError::Internal(format!("preset `{name}` is invalid: {e}")))?;
+    if seed.is_some() {
+        scenario.seed = seed;
+    }
+    let doc = ScenarioDoc::from(scenario);
+    doc.validate().map_err(|e| ServeError::BadRequest(e.to_string()))?;
+    Ok(doc)
+}
+
+/// The preset name and optional seed of a named request
+/// (`{"name": "...", "seed": <optional u64>}`), or `None` for any other
+/// body.
+fn named_request(value: &serde::Value) -> Result<Option<(String, Option<u64>)>, ServeError> {
+    let serde::Value::Object(fields) = value else { return Ok(None) };
+    if !fields.iter().any(|(k, _)| k == "name") {
+        return Ok(None);
+    }
+    let mut name = None;
+    let mut seed = None;
+    for (key, field) in fields {
+        match (key.as_str(), field) {
+            ("name", serde::Value::String(s)) => name = Some(s.clone()),
+            ("name", _) => {
+                return Err(ServeError::BadRequest("`name` must be a string".to_owned()))
+            }
+            ("seed", serde::Value::UInt(s)) => seed = Some(*s),
+            ("seed", serde::Value::Int(s)) if *s >= 0 => seed = Some(*s as u64),
+            ("seed", _) => {
+                return Err(ServeError::BadRequest(
+                    "`seed` must be a non-negative integer".to_owned(),
+                ))
+            }
+            (other, _) => {
+                return Err(ServeError::BadRequest(format!(
+                    "unknown field `{other}` in a named scenario request"
+                )))
+            }
+        }
+    }
+    Ok(name.map(|name| (name, seed)))
 }
 
 fn prepare_scenario(request: &Request) -> Result<Prepared, ServeError> {
@@ -194,84 +213,24 @@ fn prepare_scenario(request: &Request) -> Result<Prepared, ServeError> {
     }
     let value: serde::Value = serde_json::from_str(&request.body)
         .map_err(|e| ServeError::BadRequest(format!("malformed JSON body: {e}")))?;
-
-    // Named preset: {"name": "...", "seed": <optional u64>}.
-    if let serde::Value::Object(fields) = &value {
-        if fields.iter().any(|(k, _)| k == "name") {
-            let mut name = None;
-            let mut seed = None;
-            for (key, field) in fields {
-                match (key.as_str(), field) {
-                    ("name", serde::Value::String(s)) => name = Some(s.clone()),
-                    ("name", _) => {
-                        return Err(ServeError::BadRequest("`name` must be a string".to_owned()))
-                    }
-                    ("seed", serde::Value::UInt(s)) => seed = Some(*s),
-                    ("seed", serde::Value::Int(s)) if *s >= 0 => seed = Some(*s as u64),
-                    ("seed", _) => {
-                        return Err(ServeError::BadRequest(
-                            "`seed` must be a non-negative integer".to_owned(),
-                        ))
-                    }
-                    (other, _) => {
-                        return Err(ServeError::BadRequest(format!(
-                            "unknown field `{other}` in a named scenario request"
-                        )))
-                    }
-                }
-            }
-            let name = name.expect("checked above");
-            let mut scenario = preset(&name)?;
-            if seed.is_some() {
-                scenario.seed = seed;
-            }
-            scenario.validate().map_err(|e| ServeError::BadRequest(e.to_string()))?;
-            let cache_key = key_for(Route::Scenario, &to_resolved_value(&scenario)?);
-            let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-                Box::new(move || Ok(json_body(results_to_json(&scenario.run()?)?)));
-            return Ok(Prepared { cache_key, compute });
+    let document = match named_request(&value)? {
+        Some((name, seed)) => Document::Scenario(preset(&name, seed)?),
+        None => {
+            Document::from_json(&request.body).map_err(|e| ServeError::BadRequest(e.to_string()))?
         }
-    }
-
-    // Versioned scenario document (`version` + `n` present): the DSL
-    // with per-robot speeds, activation and geometry. Checked before
-    // the legacy form so a v1 document with a typo fails with the
-    // strict parser's diagnostic instead of silently degrading. The
-    // cache key is the canonical hash of the *resolved* document, so
-    // spelling defaults out (or not) hits the same entry.
-    if is_scenario_value(&value) {
-        let doc = ScenarioDoc::from_json(&request.body)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        let cache_key = key_for(Route::Scenario, &to_resolved_value(&doc)?);
-        let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-            Box::new(move || Ok(json_body(results_to_json(&doc.run()?)?)));
-        return Ok(Prepared { cache_key, compute });
-    }
-
-    // Full declarative scenario: resolve it so defaults (strategy,
-    // seed) land in the cache key.
-    if let Ok(scenario) = Scenario::from_json(&request.body) {
-        let cache_key = key_for(Route::Scenario, &to_resolved_value(&scenario)?);
-        let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-            Box::new(move || Ok(json_body(results_to_json(&scenario.run()?)?)));
-        return Ok(Prepared { cache_key, compute });
-    }
-
-    // Recorded trace: replayed and verified by `run_document`. The raw
-    // (canonicalized) document is the key.
-    if RunTrace::from_json(&request.body).is_ok() {
-        let cache_key = key_for(Route::Scenario, &value);
-        let body = request.body.clone();
-        let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-            Box::new(move || Ok(json_body(results_to_json(&run_document(&body)?)?)));
-        return Ok(Prepared { cache_key, compute });
-    }
-
-    // Surface the scenario parser's message — it is the common case.
-    let reason = Scenario::from_json(&request.body)
-        .err()
-        .map_or_else(|| "unrecognized document".to_owned(), |e| e.to_string());
-    Err(ServeError::BadRequest(format!("body is neither a scenario nor a trace: {reason}")))
+    };
+    // A scenario is keyed on its resolved document, so every spelling
+    // of one run (named preset, legacy or versioned body, defaults
+    // implicit or explicit) shares an entry. A trace is keyed on its
+    // canonicalized body.
+    let resolved = match &document {
+        Document::Scenario(doc) => to_resolved_value(doc)?,
+        Document::Trace(_) => value,
+    };
+    let cache_key = key_for(Route::Scenario, &resolved);
+    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
+        Box::new(move || Ok(json_body(results_to_json(&document.run()?)?)));
+    Ok(Prepared { cache_key, compute })
 }
 
 fn prepare_supremum(request: &Request) -> Result<Prepared, ServeError> {
@@ -592,24 +551,43 @@ mod tests {
     }
 
     #[test]
-    fn table1_grid_is_part_of_the_resolved_request() {
-        let default_grid = prepare(Route::Table1, &get("/v1/table1", &[])).unwrap();
-        let explicit_default =
-            prepare(Route::Table1, &get("/v1/table1", &[("grid", "64")])).unwrap();
-        assert_eq!(
-            default_grid.cache_key, explicit_default.cache_key,
-            "spelling out the default grid is the same request"
-        );
-        let finer = prepare(Route::Table1, &get("/v1/table1", &[("grid", "1024")])).unwrap();
-        assert_ne!(default_grid.cache_key, finer.cache_key);
-        for bad in ["0", "1", "1000001", "-3", "lots"] {
-            assert!(
-                matches!(
-                    prepare(Route::Table1, &get("/v1/table1", &[("grid", bad)])),
-                    Err(ServeError::BadRequest(_))
-                ),
-                "grid `{bad}` must be rejected"
-            );
-        }
+    fn table1_ignores_the_retired_grid_parameter() {
+        let measured = prepare(Route::Table1, &get("/v1/table1", &[("measure", "true")])).unwrap();
+        let with_grid =
+            prepare(Route::Table1, &get("/v1/table1", &[("measure", "true"), ("grid", "1024")]))
+                .unwrap();
+        assert_eq!(measured.cache_key, with_grid.cache_key, "`grid` is not a request parameter");
+    }
+
+    #[test]
+    fn legacy_and_versioned_spellings_share_a_key_and_bytes() {
+        let legacy = prepare(
+            Route::Scenario,
+            &post("/v1/scenario", r#"{"n": 4, "f": 2, "targets": [3.0, -5.0], "faulty": [0, 2]}"#),
+        )
+        .unwrap();
+        let versioned = prepare(
+            Route::Scenario,
+            &post("/v1/scenario", &example_scenario("explicit-faults.json")),
+        )
+        .unwrap();
+        let named =
+            prepare(Route::Scenario, &post("/v1/scenario", r#"{"name": "explicit-faults"}"#))
+                .unwrap();
+        assert_eq!(legacy.cache_key, versioned.cache_key);
+        assert_eq!(named.cache_key, versioned.cache_key);
+        assert_eq!((legacy.compute)().unwrap(), (versioned.compute)().unwrap());
+    }
+
+    #[test]
+    fn legacy_targets_are_validated_before_compute() {
+        let Err(err) = prepare(
+            Route::Scenario,
+            &post("/v1/scenario", r#"{"n": 3, "f": 1, "targets": [0.5]}"#),
+        ) else {
+            panic!("a target inside the unit window must be rejected by prepare")
+        };
+        assert!(matches!(err, ServeError::BadRequest(_)));
+        assert!(err.message().contains("neither a scenario nor a trace"), "{}", err.message());
     }
 }

@@ -195,11 +195,9 @@ fn deadline_expiry_answers_504_and_still_warms_the_cache() {
 #[ignore = "timing harness, not a correctness test"]
 fn cache_hit_speedup_on_repeated_table1_workload() {
     let (handle, addr) = spawn(ServeConfig::default());
-    // The paper-default grid (64) regenerates in about a millisecond in
-    // release, which is too close to loopback overhead for a stable
-    // ratio; a 1024-point empirical scan is the kind of workload the
-    // cache exists for.
-    let path = "/v1/table1?measure=true&grid=1024";
+    // The measured Table 1 (exact supremum per row) is the kind of
+    // workload the cache exists for.
+    let path = "/v1/table1?measure=true";
 
     let start = Instant::now();
     let fresh = get(&addr, path);
@@ -217,7 +215,7 @@ fn cache_hit_speedup_on_repeated_table1_workload() {
     let hit = start.elapsed() / HITS;
     let speedup = miss.as_secs_f64() / hit.as_secs_f64();
     println!(
-        "table1(measure, grid=1024) miss: {:.2} ms, hit: {:.3} ms over {HITS} requests, speedup {speedup:.1}x",
+        "table1(measure) miss: {:.2} ms, hit: {:.3} ms over {HITS} requests, speedup {speedup:.1}x",
         miss.as_secs_f64() * 1e3,
         hit.as_secs_f64() * 1e3,
     );

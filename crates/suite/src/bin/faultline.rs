@@ -91,8 +91,7 @@ const USAGE: &str = "usage:
   faultline spectrum <n> <f> [xmax]
   faultline animate  <n> <f> <dt> <until> <file.csv>
   faultline timeline <n> <f> [horizon] [target]
-  faultline scenario <file.json>             (legacy scenario or trace)
-  faultline scenario run      <file.json>    (versioned, legacy, or trace)
+  faultline scenario [run]    <file.json>    (versioned, legacy, or trace)
   faultline scenario validate <file.json>    (exit 0 valid / 2 invalid)
   faultline replay   <trace.json>
   faultline optimize <n> <f> [--budget=tiny|small|medium|large] [--seed=N]
@@ -306,15 +305,8 @@ fn timeline(params: Params, rest: &[String]) -> Result<(), Box<dyn std::error::E
 }
 
 fn scenario(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use faultline_suite::scenario_dsl::{is_scenario_value, ScenarioDoc};
+    use faultline_suite::scenario_dsl::{Document, ScenarioDoc};
     match rest.first().map(String::as_str) {
-        Some("run") => {
-            let path = rest.get(1).ok_or("missing <file.json>")?;
-            let json = std::fs::read_to_string(path)?;
-            let results = run_scenario_or_document(&json)?;
-            println!("{}", faultline_suite::scenario::results_to_json(&results)?);
-            Ok(())
-        }
         Some("validate") => {
             let path = rest.get(1).ok_or("missing <file.json>")?;
             let json = std::fs::read_to_string(path)?;
@@ -332,17 +324,13 @@ fn scenario(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             );
             Ok(())
         }
-        Some(path) => {
-            // Bare-file form, kept for compatibility: a legacy
-            // scenario or a recorded run trace. Versioned documents
-            // are accepted here too.
+        // `scenario run <file>` and the bare `scenario <file>` form
+        // accept any document: versioned, legacy, or a recorded trace.
+        Some(first) => {
+            let path =
+                if first == "run" { rest.get(1).ok_or("missing <file.json>")? } else { first };
             let json = std::fs::read_to_string(path)?;
-            let value: Result<serde::Value, _> = serde_json::from_str(&json);
-            let results = if value.as_ref().map(is_scenario_value).unwrap_or(false) {
-                ScenarioDoc::from_json(&json)?.run()?
-            } else {
-                faultline_suite::scenario::run_document(&json)?
-            };
+            let results = Document::from_json(&json)?.run()?;
             println!("{}", faultline_suite::scenario::results_to_json(&results)?);
             Ok(())
         }
@@ -350,23 +338,14 @@ fn scenario(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// Runs a JSON document of any supported kind: a versioned scenario,
-/// a legacy scenario, or a recorded run trace.
-fn run_scenario_or_document(
-    json: &str,
-) -> Result<Vec<faultline_suite::scenario::ScenarioResult>, Box<dyn std::error::Error>> {
-    use faultline_suite::scenario_dsl::{is_scenario_value, ScenarioDoc};
-    let value: Result<serde::Value, _> = serde_json::from_str(json);
-    if value.as_ref().map(is_scenario_value).unwrap_or(false) {
-        return Ok(ScenarioDoc::from_json(json)?.run()?);
-    }
-    Ok(faultline_suite::scenario::run_document(json)?)
-}
-
 fn replay(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    use faultline_suite::scenario_dsl::Document;
     let path = rest.first().ok_or("missing <trace.json>")?;
     let json = std::fs::read_to_string(path)?;
-    let trace = faultline_suite::sim::RunTrace::from_json(&json)?;
+    let document = Document::from_json(&json)?;
+    let Document::Trace(trace) = &document else {
+        return Err(format!("{path} is a scenario, not a recorded trace").into());
+    };
     eprintln!(
         "replaying `{}` ({} robots, target {}, seed {})",
         trace.reason,
@@ -374,7 +353,7 @@ fn replay(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         trace.target,
         trace.seed
     );
-    let results = faultline_suite::scenario::run_document(&json)?;
+    let results = document.run()?;
     eprintln!("replay matches the recorded outcome bit-for-bit");
     println!("{}", faultline_suite::scenario::results_to_json(&results)?);
     Ok(())

@@ -52,8 +52,7 @@ pub use figures::FigureData;
 pub use report::{Comparison, ExperimentReport};
 pub use scenario::{Scenario, ScenarioResult};
 pub use supremum::{
-    measure_free_schedule_cr, measure_free_schedule_cr_grid, measure_free_schedule_expected_cr,
-    measure_free_schedule_expected_cr_grid, measure_free_schedule_profile,
+    measure_free_schedule_cr, measure_free_schedule_expected_cr, measure_free_schedule_profile,
     measure_free_schedule_profile_grid, measure_strategy_cr, measure_strategy_cr_grid,
     measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile, MeasuredCr, SupremumQuery,
     SupremumReport,

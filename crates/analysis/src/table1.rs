@@ -90,9 +90,7 @@ pub fn regenerate_row(n: usize, f: usize, measure: bool) -> Result<Table1Row> {
             }
             Regime::TwoGroup => 16.0,
         };
-        // The exact measurement has no grid; its `grid_points` argument
-        // is ignored.
-        Some(measure_strategy_cr(&PaperStrategy::new(), params, xmax, 64)?.empirical)
+        Some(measure_strategy_cr(&PaperStrategy::new(), params, xmax)?.empirical)
     } else {
         None
     };

@@ -8,7 +8,7 @@
 //! test fuzzes raw free schedules (the optimizer's search space),
 //! where the grid's tolerance bugs originally hid.
 
-use faultline_analysis::{measure_free_schedule_cr, measure_free_schedule_cr_grid};
+use faultline_analysis::{measure_free_schedule_cr, measure_free_schedule_profile_grid};
 use faultline_core::{Fleet, FreeRobot, FreeSchedule};
 use proptest::prelude::*;
 
@@ -44,8 +44,9 @@ proptest! {
         let robots: Vec<FreeRobot> = raw_robots.iter().map(|u| decode_robot(u)).collect();
         let schedule = FreeSchedule::new(robots).unwrap();
         let f = f_raw % schedule.n();
-        let exact = measure_free_schedule_cr(&schedule, f, xmax, grid_points, &[]).unwrap();
-        let grid = measure_free_schedule_cr_grid(&schedule, f, xmax, grid_points, &[]).unwrap();
+        let exact = measure_free_schedule_cr(&schedule, f, xmax).unwrap();
+        let grid =
+            measure_free_schedule_profile_grid(&schedule, f, xmax, grid_points).unwrap().measured;
 
         // Dominance: the exact supremum can never sit below any grid
         // scan of the same window — the grid probes a finite subset of

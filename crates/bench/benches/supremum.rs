@@ -15,9 +15,7 @@ fn bench_supremum(c: &mut Criterion) {
     for &(n, f) in &[(2usize, 1usize), (3, 1), (5, 2), (11, 5)] {
         let params = Params::new(n, f).expect("params");
         group.bench_function(format!("coverage_path_n{n}_f{f}"), |b| {
-            b.iter(|| {
-                black_box(measure_strategy_cr(&strategy, params, 30.0, 64).expect("measure"))
-            });
+            b.iter(|| black_box(measure_strategy_cr(&strategy, params, 30.0).expect("measure")));
         });
     }
 

@@ -251,7 +251,7 @@ fn table1_scan(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::Error>
         let wall = min_time_ms(|| {
             for &(n, f) in pairs {
                 let result = Params::new(n, f)
-                    .and_then(|p| measure_strategy_cr(&PaperStrategy::new(), p, 16.0, 32));
+                    .and_then(|p| measure_strategy_cr(&PaperStrategy::new(), p, 16.0));
                 if let Err(e) = result {
                     err = Some(e);
                     return;
@@ -370,8 +370,7 @@ fn optimizer_inner_loop(quick: bool) -> Result<PathComparison, Box<dyn std::erro
     let (exact_ms, grid_ms) = interleaved_min_rounds(
         || {
             for _ in 0..reps {
-                if let Err(e) = measure_free_schedule_profile(&schedule, 3, xmax, grid_points, &[])
-                {
+                if let Err(e) = measure_free_schedule_profile(&schedule, 3, xmax, 0, &[]) {
                     exact_err = Some(e);
                     return;
                 }
@@ -379,8 +378,7 @@ fn optimizer_inner_loop(quick: bool) -> Result<PathComparison, Box<dyn std::erro
         },
         || {
             for _ in 0..reps {
-                if let Err(e) =
-                    measure_free_schedule_profile_grid(&schedule, 3, xmax, grid_points, &[])
+                if let Err(e) = measure_free_schedule_profile_grid(&schedule, 3, xmax, grid_points)
                 {
                     grid_err = Some(e);
                     return;
@@ -417,8 +415,8 @@ fn strategy_supremum_paths(quick: bool) -> Result<PathComparison, Box<dyn std::e
         || {
             for _ in 0..reps {
                 for &(n, f) in pairs {
-                    let result = Params::new(n, f)
-                        .and_then(|p| measure_strategy_cr(&strategy, p, xmax, grid_points));
+                    let result =
+                        Params::new(n, f).and_then(|p| measure_strategy_cr(&strategy, p, xmax));
                     if let Err(e) = result {
                         exact_err = Some(e);
                         return;

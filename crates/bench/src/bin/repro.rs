@@ -241,7 +241,7 @@ fn run_lower_bound() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for strategy in all_strategies() {
         let cr = strategy.analytic_cr(params).map_or("n/a".to_owned(), |v| format!("{v:.4}"));
-        let measured = faultline_analysis::measure_strategy_cr(strategy.as_ref(), params, 30.0, 48)
+        let measured = faultline_analysis::measure_strategy_cr(strategy.as_ref(), params, 30.0)
             .map(|m| {
                 if m.empirical.is_finite() {
                     format!("{:.4}", m.empirical)

@@ -342,7 +342,6 @@ const SUPREMUM_GRID_CAP: usize = 48;
 /// Floor applied to Theorem 1 comparisons so the window always
 /// contains several full turning-point periods.
 const MEASURE_XMAX_FLOOR: f64 = 24.0;
-const MEASURE_GRID_FLOOR: usize = 64;
 
 fn sim_analytic_detection(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
@@ -436,7 +435,7 @@ fn exact_supremum_dominates_grid(inst: &Instance, inject: bool) -> Result<Verdic
         return Ok(Verdict::Skip(format!("{} rejects {params}: {e}", inst.strategy)));
     }
     let grid_points = inst.grid_points.min(SUPREMUM_GRID_CAP);
-    let exact = measure_strategy_cr(strategy.as_ref(), params, inst.xmax, grid_points)?;
+    let exact = measure_strategy_cr(strategy.as_ref(), params, inst.xmax)?;
     let grid = measure_strategy_cr_grid(strategy.as_ref(), params, inst.xmax, grid_points)?;
     if !grid.empirical.is_finite() {
         // A grid-uncovered point lies in some window interval the
@@ -511,12 +510,8 @@ fn closed_form_visit(inst: &Instance, inject: bool) -> Result<Verdict> {
 fn thm1_closed_form_measured(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let thm1 = ratio::cr_upper(params);
-    let measured = measure_strategy_cr(
-        &PaperStrategy::new(),
-        params,
-        inst.xmax.max(MEASURE_XMAX_FLOOR),
-        inst.grid_points.max(MEASURE_GRID_FLOOR),
-    )?;
+    let measured =
+        measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.max(MEASURE_XMAX_FLOOR))?;
     if measured.uncovered != 0 {
         return Ok(fail(
             0.0,
@@ -595,7 +590,7 @@ fn two_group_unit_cr(inst: &Instance, inject: bool) -> Result<Verdict> {
     if thm1 != 1.0 {
         return Ok(fail(1.0, thm1, "two-group Theorem 1 value is not exactly 1".to_owned(), None));
     }
-    let measured = measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.min(16.0), 24)?;
+    let measured = measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.min(16.0))?;
     let observed = skew_up(inject, measured.empirical);
     if measured.uncovered != 0 || (observed - 1.0).abs() > REL_TOL {
         return Ok(fail(
@@ -622,12 +617,8 @@ fn single_robot_nine(inst: &Instance, inject: bool) -> Result<Verdict> {
             None,
         ));
     }
-    let measured = measure_strategy_cr(
-        &PaperStrategy::new(),
-        params,
-        inst.xmax.max(MEASURE_XMAX_FLOOR),
-        inst.grid_points.max(MEASURE_GRID_FLOOR),
-    )?;
+    let measured =
+        measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.max(MEASURE_XMAX_FLOOR))?;
     let observed = skew_up(inject, measured.empirical);
     let band = 9.0 * (1.0 - EXACT_RTOL)..=9.0 + ABS_SLACK;
     if measured.uncovered != 0 || !band.contains(&observed) {
@@ -644,12 +635,8 @@ fn single_robot_nine(inst: &Instance, inject: bool) -> Result<Verdict> {
 fn measured_above_certified_floor(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let cert = certificate::certify_lower_bound(params)?;
-    let measured = measure_strategy_cr(
-        &PaperStrategy::new(),
-        params,
-        inst.xmax.max(MEASURE_XMAX_FLOOR),
-        inst.grid_points.max(MEASURE_GRID_FLOOR),
-    )?;
+    let measured =
+        measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.max(MEASURE_XMAX_FLOOR))?;
     if measured.uncovered != 0 {
         return Ok(fail(
             0.0,
@@ -675,7 +662,7 @@ fn objective_eval_consistency(inst: &Instance, inject: bool) -> Result<Verdict> 
         return Ok(Verdict::Skip("instance carries no free schedule".to_owned()));
     };
     let params = inst.params()?;
-    let objective = Objective::new(params, inst.xmax, inst.grid_points)?;
+    let objective = Objective::new(params, inst.xmax)?;
     let score = skew_up(inject, objective.eval(schedule));
     // Re-derive scoreability exactly as `eval` does, from `profile`.
     let scoreable = objective.profile(schedule).ok().and_then(|p| {

@@ -91,7 +91,6 @@ mod tests {
         let mut config = OptimizeConfig::new(3, 1);
         config.budget = Budget::Tiny;
         config.xmax = Some(8.0);
-        config.grid_points = Some(12);
         init_state(&config).unwrap()
     }
 

@@ -33,7 +33,7 @@ pub const THM1_SLACK: f64 = 1e-9;
 pub const IMPROVEMENT_MARGIN: f64 = 1e-6;
 
 /// A complete optimizer request: the `(n, f)` pair, the effort tier,
-/// the RNG seed, and optional window/resolution overrides.
+/// the RNG seed, and an optional window override.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizeConfig {
     /// Number of robots.
@@ -50,9 +50,6 @@ pub struct OptimizeConfig {
     /// [`Objective::default_xmax`].
     #[serde(default)]
     pub xmax: Option<f64>,
-    /// Scan resolution override; defaults to the budget's grid.
-    #[serde(default)]
-    pub grid_points: Option<usize>,
     /// When set, optimize the *expected* competitive ratio with every
     /// robot p-faulty at this per-visit detection probability instead
     /// of the worst-case ratio. Defaults to the worst-case objective.
@@ -70,7 +67,6 @@ impl OptimizeConfig {
             budget: Budget::default(),
             seed: 0,
             xmax: None,
-            grid_points: None,
             detect_probability: None,
         }
     }
@@ -96,12 +92,6 @@ impl OptimizeConfig {
         }
     }
 
-    /// The resolved scan resolution.
-    #[must_use]
-    pub fn resolved_grid_points(&self) -> usize {
-        self.grid_points.unwrap_or(self.budget.knobs().grid_points)
-    }
-
     /// Builds the measurement objective this config describes.
     ///
     /// # Errors
@@ -109,15 +99,8 @@ impl OptimizeConfig {
     /// Propagates parameter and window validation.
     pub fn objective(&self) -> Result<Objective> {
         match self.detect_probability {
-            Some(p) => Objective::with_detect_probability(
-                self.params()?,
-                self.resolved_xmax()?,
-                self.resolved_grid_points(),
-                p,
-            ),
-            None => {
-                Objective::new(self.params()?, self.resolved_xmax()?, self.resolved_grid_points())
-            }
+            Some(p) => Objective::with_detect_probability(self.params()?, self.resolved_xmax()?, p),
+            None => Objective::new(self.params()?, self.resolved_xmax()?),
         }
     }
 }
@@ -229,7 +212,7 @@ pub fn init_state(config: &OptimizeConfig) -> Result<OptimizerState> {
     let seed_score = objective.eval(&seed_schedule);
     if seed_score >= PENALTY {
         return Err(Error::numerical(format!(
-            "the A({}, {}) lowering itself failed to measure; widen xmax or the grid",
+            "the A({}, {}) lowering itself failed to measure; widen xmax",
             config.n, config.f
         )));
     }
@@ -352,8 +335,6 @@ pub struct OptimizeReport {
     pub evaluations: u64,
     /// Resolved measurement window `[1, xmax]`.
     pub xmax: f64,
-    /// Resolved scan resolution.
-    pub grid_points: usize,
     /// Theorem 1 closed form (the two-group ratio 1 for `n >= 2f+2`).
     pub thm1_cr: f64,
     /// Theorem 2's `alpha(n)` where it applies (`n < 2f + 2`).
@@ -364,7 +345,7 @@ pub struct OptimizeReport {
     pub baseline_measured: f64,
     /// Best measured ratio over all starts and rounds.
     pub best_found_cr: f64,
-    /// `baseline_measured - best_found_cr` (same window, same grid).
+    /// `baseline_measured - best_found_cr` (same window).
     pub improvement: f64,
     /// Whether the pair's bounds already meet: two-group pairs
     /// (Theorem 1 ratio 1 is optimal) and `n = f + 1` pairs (Theorem 1
@@ -420,7 +401,6 @@ pub fn finish(state: &OptimizerState) -> Result<OptimizeReport> {
         starts: state.starts.len(),
         evaluations,
         xmax: config.resolved_xmax()?,
-        grid_points: config.resolved_grid_points(),
         thm1_cr: algorithm.analytic_cr(),
         thm2_alpha,
         lower_bound: lower_bound(params)?,
@@ -442,9 +422,8 @@ fn report_two_group(config: &OptimizeConfig) -> Result<OptimizeReport> {
     let params = config.params()?;
     let algorithm = Algorithm::design(params)?;
     let xmax = config.resolved_xmax()?;
-    let grid_points = config.resolved_grid_points();
     let strategy = resolve_strategy("paper", None)?;
-    let measured = measure_strategy_cr(strategy.as_ref(), params, xmax, grid_points)?;
+    let measured = measure_strategy_cr(strategy.as_ref(), params, xmax)?;
     Ok(OptimizeReport {
         n: config.n,
         f: config.f,
@@ -455,7 +434,6 @@ fn report_two_group(config: &OptimizeConfig) -> Result<OptimizeReport> {
         starts: 0,
         evaluations: 1,
         xmax,
-        grid_points,
         thm1_cr: algorithm.analytic_cr(),
         thm2_alpha: None,
         lower_bound: lower_bound(params)?,
@@ -532,7 +510,6 @@ mod tests {
         let mut config = OptimizeConfig::new(n, f);
         config.budget = Budget::Tiny;
         config.xmax = Some(8.0);
-        config.grid_points = Some(12);
         config
     }
 
@@ -543,7 +520,6 @@ mod tests {
         assert_eq!(config.seed, 0);
         assert_eq!(config.xmax, None);
         assert!(config.resolved_xmax().unwrap() >= 25.0);
-        assert_eq!(config.resolved_grid_points(), Budget::Small.knobs().grid_points);
         assert_eq!(config.detect_probability, None);
         assert_eq!(config.objective().unwrap().detect_probability(), None);
     }

@@ -15,7 +15,6 @@ fn tiny_config(n: usize, f: usize, seed: u64) -> OptimizeConfig {
     config.budget = Budget::Tiny;
     config.seed = seed;
     config.xmax = Some(8.0);
-    config.grid_points = Some(12);
     config
 }
 
@@ -85,6 +84,33 @@ fn resuming_a_killed_run_is_bit_identical() {
     let a = serde_json::to_string_pretty(&uninterrupted).unwrap();
     let b = serde_json::to_string_pretty(&resumed).unwrap();
     assert_eq!(a, b, "resumed report differs from uninterrupted report");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn checkpoints_carrying_the_retired_grid_field_resume_identically() {
+    let dir = std::env::temp_dir().join("faultline-opt-retired-grid-field");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bare = dir.join("bare.json");
+    let mut state = init_state(&tiny_config(3, 1, 5)).unwrap();
+    advance_round(&mut state).unwrap();
+    Checkpoint::snapshot(&state).save(&bare).unwrap();
+
+    // Checkpoints written before the scan resolution was retired carry
+    // `grid_points` in their config; it is ignored on load.
+    let raw = std::fs::read_to_string(&bare).unwrap();
+    assert!(!raw.contains("grid_points"), "current checkpoints no longer write the field");
+    let legacy_raw = raw.replacen("\"config\": {", "\"config\": {\n      \"grid_points\": 12,", 1);
+    assert_ne!(legacy_raw, raw, "expected a config object to extend");
+    let legacy = dir.join("legacy.json");
+    std::fs::write(&legacy, legacy_raw).unwrap();
+
+    let resume = |path: &std::path::Path| {
+        let mut state = Checkpoint::load(path).unwrap().into_state();
+        serde_json::to_string_pretty(&resume_state(&mut state, None).unwrap()).unwrap()
+    };
+    assert_eq!(resume(&legacy), resume(&bare), "the retired field must not change the run");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -265,7 +265,6 @@ fn prepare_optimize(request: &Request) -> Result<Prepared, ServeError> {
     // explicit spellings of the same run share a cache entry.
     config.params().map_err(|e| ServeError::BadRequest(e.to_string()))?;
     config.xmax = Some(config.resolved_xmax().map_err(|e| ServeError::BadRequest(e.to_string()))?);
-    config.grid_points = Some(config.resolved_grid_points());
     config.objective().map_err(|e| ServeError::BadRequest(e.to_string()))?;
     let cache_key = key_for(Route::Optimize, &to_resolved_value(&config)?);
     let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> = Box::new(move || {
@@ -489,6 +488,26 @@ mod tests {
     }
 
     #[test]
+    fn supremum_ignores_the_retired_grid_fields() {
+        let bare =
+            prepare(Route::Supremum, &post("/v1/supremum", r#"{"n": 3, "f": 1, "xmax": 20}"#))
+                .unwrap();
+        let gridded = prepare(
+            Route::Supremum,
+            &post(
+                "/v1/supremum",
+                r#"{"n": 3, "f": 1, "xmax": 20, "grid_points": 9, "grid": true}"#,
+            ),
+        )
+        .unwrap();
+        assert_eq!(bare.cache_key, gridded.cache_key, "the grid fields are not request parameters");
+        let bare_body = (bare.compute)().expect("bare scan");
+        let gridded_body = (gridded.compute)().expect("gridded scan");
+        assert_eq!(bare_body, gridded_body, "`grid: true` gets the exact answer");
+        assert!(!String::from_utf8(bare_body).unwrap().contains("grid"));
+    }
+
+    #[test]
     fn optimize_body_resolves_defaults_into_key() {
         let implicit = prepare(
             Route::Optimize,
@@ -496,17 +515,23 @@ mod tests {
         )
         .unwrap();
         assert!(implicit.cache_key.starts_with("/v1/optimize|"));
-        // Spelling out the tiny budget's default grid and seed is the
-        // same resolved request.
+        // Spelling out the default seed is the same resolved request.
         let explicit = prepare(
             Route::Optimize,
-            &post(
-                "/v1/optimize",
-                r#"{"f": 1, "n": 3, "budget": "tiny", "xmax": 8.0, "grid_points": 16, "seed": 0}"#,
-            ),
+            &post("/v1/optimize", r#"{"f": 1, "n": 3, "budget": "tiny", "xmax": 8.0, "seed": 0}"#),
         )
         .unwrap();
         assert_eq!(implicit.cache_key, explicit.cache_key);
+        // So is a body that still carries the retired scan resolution.
+        let gridded = prepare(
+            Route::Optimize,
+            &post(
+                "/v1/optimize",
+                r#"{"n": 3, "f": 1, "budget": "tiny", "xmax": 8.0, "grid_points": 12}"#,
+            ),
+        )
+        .unwrap();
+        assert_eq!(implicit.cache_key, gridded.cache_key);
         // A different seed is a different entry.
         let seeded = prepare(
             Route::Optimize,

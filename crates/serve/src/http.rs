@@ -40,7 +40,7 @@ impl Request {
 /// A request that could not be parsed, with the status code to answer.
 #[derive(Debug, Clone)]
 pub struct ParseError {
-    /// HTTP status code to respond with (400 or 413).
+    /// HTTP status code to respond with (400, 413 or 501).
     pub status: u16,
     /// Human-readable reason.
     pub message: String,
@@ -53,6 +53,10 @@ impl ParseError {
 
     fn too_large(message: impl Into<String>) -> Self {
         ParseError { status: 413, message: message.into() }
+    }
+
+    fn not_implemented(message: impl Into<String>) -> Self {
+        ParseError { status: 501, message: message.into() }
     }
 }
 
@@ -123,6 +127,11 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// Incremental: call again with the same (grown) buffer after more
 /// bytes arrive. `Ready.consumed` tells the caller how much of the
 /// buffer to drain before parsing the next pipelined request.
+///
+/// Bodies are framed by `Content-Length` alone. A `Transfer-Encoding`
+/// header (501) or conflicting `Content-Length` values (400) make the
+/// request boundary ambiguous, so they are refused rather than guessed
+/// at: a wrong guess would parse body bytes as the next request.
 #[must_use]
 pub fn parse_request(buf: &[u8]) -> Parsed {
     let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
@@ -152,21 +161,26 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
         }
     };
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
     for header in lines {
         if let Some((name, value)) = header.split_once(':') {
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Parsed::Invalid(ParseError::bad(format!(
-                            "invalid Content-Length `{value}`"
-                        )))
-                    }
+                let Ok(length) = value.parse() else {
+                    return Parsed::Invalid(ParseError::bad(format!(
+                        "invalid Content-Length `{value}`"
+                    )));
                 };
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Parsed::Invalid(ParseError::bad("conflicting Content-Length headers"));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Parsed::Invalid(ParseError::not_implemented(format!(
+                    "Transfer-Encoding `{value}` is not supported; send a Content-Length body"
+                )));
             } else if name.eq_ignore_ascii_case("connection") {
                 if value.eq_ignore_ascii_case("close") {
                     keep_alive = false;
@@ -176,6 +190,7 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Parsed::Invalid(ParseError::too_large("request body exceeds 1 MiB"));
     }
@@ -209,6 +224,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
@@ -318,7 +334,7 @@ mod tests {
 
     #[test]
     fn reason_phrases_cover_service_statuses() {
-        for status in [200, 400, 404, 405, 408, 413, 500, 503, 504] {
+        for status in [200, 400, 404, 405, 408, 413, 500, 501, 503, 504] {
             assert_ne!(reason_phrase(status), "Unknown", "status {status}");
         }
     }
@@ -396,6 +412,31 @@ mod tests {
         match parse_request(b"NOT-HTTP\r\n\r\n") {
             Parsed::Invalid(e) => assert_eq!(e.status, 400),
             other => panic!("garbage parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chunked_bodies_answer_501() {
+        let wire = b"POST /v1/supremum HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"n\":\r\n0\r\n\r\n";
+        match parse_request(wire) {
+            Parsed::Invalid(e) => assert_eq!(e.status, 501),
+            other => panic!("chunked request parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_answer_400() {
+        let wire =
+            b"POST /v1/supremum HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 0\r\n\r\n{}";
+        match parse_request(wire) {
+            Parsed::Invalid(e) => assert_eq!(e.status, 400),
+            other => panic!("conflicting lengths parsed as {other:?}"),
+        }
+        // A repeated, equal Content-Length is unambiguous.
+        let repeated = b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        match parse_request(repeated) {
+            Parsed::Ready { request, .. } => assert_eq!(request.body, "{}"),
+            other => panic!("repeated equal lengths parsed as {other:?}"),
         }
     }
 

@@ -8,15 +8,12 @@ use std::time::{Duration, Instant};
 use faultline_serve::client::{self, Response, Session};
 use faultline_serve::{ServeConfig, ServerHandle};
 
-/// A supremum body slow enough (hundreds of ms even in release) to
-/// hold a worker while the test sequences saturation around it. The
-/// exact critical-point engine answers any grid size instantly, so a
-/// deliberately dense scan must opt into the retained grid path.
-const SLOW_SUPREMUM: &str =
-    r#"{"n": 41, "f": 20, "xmax": 300.0, "grid_points": 60000, "grid": true}"#;
-/// Same workload, one grid point apart: a distinct cache entry.
-const SLOW_SUPREMUM_B: &str =
-    r#"{"n": 41, "f": 20, "xmax": 300.0, "grid_points": 59999, "grid": true}"#;
+/// An optimize body slow enough (about 0.4 s in release, longer in
+/// debug builds) to hold a worker while the test sequences saturation
+/// around it.
+const SLOW_OPTIMIZE: &str = r#"{"n": 21, "f": 10, "budget": "tiny"}"#;
+/// Same workload with another seed: a distinct cache entry.
+const SLOW_OPTIMIZE_B: &str = r#"{"n": 21, "f": 10, "budget": "tiny", "seed": 1}"#;
 
 fn spawn(config: ServeConfig) -> (ServerHandle, String) {
     let handle = ServerHandle::spawn(ServeConfig { addr: "127.0.0.1:0".to_owned(), ..config })
@@ -54,6 +51,30 @@ fn health_cr_and_404s() {
     assert_eq!(get(&addr, "/nope").status, 404);
     assert_eq!(post(&addr, "/v1/cr", "{}").status, 405);
     assert_eq!(get(&addr, "/v1/cr?n=3").status, 400);
+    handle.shutdown();
+}
+
+#[test]
+fn chunked_post_is_refused_and_the_connection_closed() {
+    use std::io::{Read, Write};
+    let (handle, addr) = spawn(ServeConfig::default());
+
+    // A chunked body with a GET pipelined behind it: guessing at the
+    // body's end could answer the GET out of the chunk bytes, so the
+    // server answers 501 once and closes before reading further.
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(
+            b"POST /v1/supremum HTTP/1.1\r\nHost: l\r\nTransfer-Encoding: chunked\r\n\r\n\
+              7\r\n{\"n\": 3}\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\nHost: l\r\n\r\n",
+        )
+        .expect("pipelined write");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).expect("read until the server closes");
+    let text = String::from_utf8_lossy(&bytes);
+    assert!(text.starts_with("HTTP/1.1 501 Not Implemented\r\n"), "got: {text}");
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "exactly one response, then EOF: {text}");
     handle.shutdown();
 }
 
@@ -96,15 +117,15 @@ fn cache_hits_are_byte_identical_and_metrics_move() {
 fn optimize_route_caches_resolved_configs() {
     let (handle, addr) = spawn(ServeConfig::default());
 
-    let body = r#"{"n": 3, "f": 1, "budget": "tiny", "xmax": 8.0, "grid_points": 12}"#;
+    let body = r#"{"n": 3, "f": 1, "budget": "tiny", "xmax": 8.0}"#;
     let fresh = post(&addr, "/v1/optimize", body);
     assert_eq!(fresh.status, 200, "optimize failed: {}", fresh.text());
     assert_eq!(fresh.header("X-Cache"), Some("miss"));
     assert!(fresh.text().contains("\"best_found_cr\""));
     assert!(fresh.text().contains("\"crosscheck\""));
 
-    // A reordered spelling of the same resolved run is a byte-identical
-    // cache hit.
+    // A reordered spelling of the same resolved run, even one still
+    // carrying the retired `grid_points`, is a byte-identical cache hit.
     let reordered = r#"{"xmax": 8.0, "f": 1, "grid_points": 12, "budget": "tiny", "n": 3}"#;
     let cached = post(&addr, "/v1/optimize", reordered);
     assert_eq!(cached.status, 200);
@@ -136,14 +157,14 @@ fn saturated_queue_answers_503_while_light_routes_stay_up() {
 
     // Occupy the single worker...
     let addr_a = addr.clone();
-    let slow_a = std::thread::spawn(move || post(&addr_a, "/v1/supremum", SLOW_SUPREMUM));
+    let slow_a = std::thread::spawn(move || post(&addr_a, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the worker to pick up the slow job", Duration::from_secs(30), || {
         state.metrics.workers_busy() == 1
     });
 
     // ...fill the only queue slot...
     let addr_b = addr.clone();
-    let slow_b = std::thread::spawn(move || post(&addr_b, "/v1/supremum", SLOW_SUPREMUM_B));
+    let slow_b = std::thread::spawn(move || post(&addr_b, "/v1/optimize", SLOW_OPTIMIZE_B));
     wait_for("the queue slot to fill", Duration::from_secs(30), || state.pool.queue_depth() == 1);
 
     // ...and the next heavy miss must bounce with backpressure.
@@ -174,7 +195,7 @@ fn deadline_expiry_answers_504_and_still_warms_the_cache() {
     let (handle, addr) = spawn(config);
     let state = handle.state();
 
-    let timed_out = post(&addr, "/v1/supremum", SLOW_SUPREMUM);
+    let timed_out = post(&addr, "/v1/optimize", SLOW_OPTIMIZE);
     assert_eq!(timed_out.status, 504, "slower than the 10ms deadline");
 
     // The abandoned computation finishes in the background and inserts
@@ -182,7 +203,7 @@ fn deadline_expiry_answers_504_and_still_warms_the_cache() {
     wait_for("the abandoned job to warm the cache", Duration::from_secs(60), || {
         state.cache.live_entries() >= 1
     });
-    let retry = post(&addr, "/v1/supremum", SLOW_SUPREMUM);
+    let retry = post(&addr, "/v1/optimize", SLOW_OPTIMIZE);
     assert_eq!(retry.status, 200);
     assert_eq!(retry.header("X-Cache"), Some("hit"));
     handle.shutdown();
@@ -312,7 +333,7 @@ fn graceful_shutdown_drains_in_flight_work_and_refuses_new() {
     let state = handle.state();
 
     let addr_a = addr.clone();
-    let in_flight = std::thread::spawn(move || post(&addr_a, "/v1/supremum", SLOW_SUPREMUM));
+    let in_flight = std::thread::spawn(move || post(&addr_a, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the worker to pick up the job", Duration::from_secs(30), || {
         state.metrics.workers_busy() == 1
     });

@@ -95,7 +95,7 @@ const USAGE: &str = "usage:
   faultline scenario validate <file.json>    (exit 0 valid / 2 invalid)
   faultline replay   <trace.json>
   faultline optimize <n> <f> [--budget=tiny|small|medium|large] [--seed=N]
-                     [--xmax=X] [--grid=N] [--checkpoint=FILE]
+                     [--xmax=X] [--checkpoint=FILE]
                      [--resume=FILE] [--json] [--check]
   faultline explore  <n> <f> [--xmax=X] [--budget=N] [--seed=N] [--exhaustive]
                      [--json] [--out=FILE.csv]
@@ -248,7 +248,7 @@ fn compare(params: Params, xmax: f64) -> Result<(), Box<dyn std::error::Error>> 
     println!("measured competitive ratios at {params}, targets up to ±{xmax}:");
     let mut rows = Vec::new();
     for strategy in all_strategies() {
-        let row = match measure_strategy_cr(strategy.as_ref(), params, xmax, 64) {
+        let row = match measure_strategy_cr(strategy.as_ref(), params, xmax) {
             Ok(m) if m.empirical.is_finite() => {
                 vec![
                     strategy.name().to_owned(),
@@ -365,7 +365,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut budget = Budget::default();
     let mut seed = 0u64;
     let mut xmax: Option<f64> = None;
-    let mut grid: Option<usize> = None;
     let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut resume: Option<std::path::PathBuf> = None;
     let mut json = false;
@@ -378,8 +377,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             seed = v.parse()?;
         } else if let Some(v) = arg.strip_prefix("--xmax=") {
             xmax = Some(v.parse()?);
-        } else if let Some(v) = arg.strip_prefix("--grid=") {
-            grid = Some(v.parse()?);
         } else if let Some(v) = arg.strip_prefix("--checkpoint=") {
             checkpoint = Some(v.into());
         } else if let Some(v) = arg.strip_prefix("--resume=") {
@@ -425,7 +422,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         config.budget = budget;
         config.seed = seed;
         config.xmax = xmax;
-        config.grid_points = grid;
         opt::run_with_checkpoint(&config, checkpoint.as_deref())?
     };
 
@@ -437,8 +433,8 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             report.n, report.f, report.regime, report.budget, report.seed
         );
         println!(
-            "  window [1, {:.3}], grid {}, {} starts x {} rounds, {} evaluations",
-            report.xmax, report.grid_points, report.starts, report.rounds, report.evaluations
+            "  window [1, {:.3}], {} starts x {} rounds, {} evaluations",
+            report.xmax, report.starts, report.rounds, report.evaluations
         );
         println!("  Theorem 1 closed form:   {:.9}", report.thm1_cr);
         match report.thm2_alpha {
